@@ -71,23 +71,6 @@ class AeTrace:
     recon: np.ndarray
 
 
-@dataclass
-class AeGrads:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
-    w4: np.ndarray
-    b4: np.ndarray
-    w5: np.ndarray
-    b5: np.ndarray
-    w6: np.ndarray
-    b6: np.ndarray
-    x: np.ndarray
-
-
 def _glorot(rng, n_out, n_in):
     bound = np.sqrt(6.0 / (n_in + n_out))
     return rng.uniform(-bound, bound, size=(n_out, n_in))
@@ -173,8 +156,9 @@ def reconstruction_loss(recon: np.ndarray, target: np.ndarray) -> float:
 def ae_backward(
     trace: AeTrace, d_recon: np.ndarray, p: AeParams,
     output_activation: str = "relu",
-) -> AeGrads:
+):
     """Exact reverse pass; skips route gradient to both of their inputs.
+    Returns (AeParams of gradients, d_x).
 
     `d_recon` is the combined upstream on the sigmoid output (the
     reconstruction loss term plus whatever the downstream consumer of the
@@ -216,10 +200,11 @@ def ae_backward(
     d_b1 = d_pre1.sum(axis=0)
     d_x = d_pre1 @ p.w1
 
-    return AeGrads(
+    grads = AeParams(
         w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2, w3=d_w3, b3=d_b3,
-        w4=d_w4, b4=d_b4, w5=d_w5, b5=d_b5, w6=d_w6, b6=d_b6, x=d_x,
+        w4=d_w4, b4=d_b4, w5=d_w5, b5=d_b5, w6=d_w6, b6=d_b6,
     )
+    return grads, d_x
 
 
 def count_ae_params(dims: AeDims) -> int:

@@ -7,18 +7,14 @@ model.param_segments; loading validates names so a truncated or
 reordered file fails loudly.
 """
 
-import os
 import re
 import struct
 
 import numpy as np
 
-from . import autoencoder as ae
-from . import gru
-from . import head as head_mod
-from . import reducer
 from .errors import FormatError
-from .model import ModelParams, param_segments
+from .model import ModelParams, map_params, param_segments, params_template
+from .signals import atomic_write
 
 CHECKPOINT_MAGIC = b"CFPN"
 CHECKPOINT_VERSION = 1
@@ -38,11 +34,7 @@ def save_checkpoint(params: ModelParams, path: str):
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    blob = b"".join(chunks)
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    atomic_write(path, b"".join(chunks))
 
 
 class _Reader:
@@ -100,40 +92,20 @@ def _pop(segments: dict, name: str, path: str) -> np.ndarray:
 
 def load_checkpoint(path: str) -> ModelParams:
     segments = read_segments(path)
-    ae_params = ae.AeParams(
-        **{name: _pop(segments, f"ae.{name}", path)
-           for name in ("w1", "b1", "w2", "b2", "w3", "b3",
-                        "w4", "b4", "w5", "b5", "w6", "b6")}
-    )
-    nsdru = reducer.NsdruParams(
-        conv1_w=_pop(segments, "nsdru.conv1_w", path),
-        conv1_b=_pop(segments, "nsdru.conv1_b", path),
-        conv2_w=_pop(segments, "nsdru.conv2_w", path),
-        conv2_b=_pop(segments, "nsdru.conv2_b", path),
-    )
     branch_ids = sorted(
         {int(m.group(1)) for m in
          (re.match(r"gru(\d+)\.", name) for name in segments) if m}
     )
     if branch_ids != list(range(len(branch_ids))) or not branch_ids:
         raise FormatError(f"{path}: branch segments are not contiguous: {branch_ids}")
-    branches = [
-        gru.GruBranchParams(
-            **{name: _pop(segments, f"gru{i}.{name}", path)
-               for name in gru.GATE_FIELD_ORDER}
-        )
-        for i in branch_ids
-    ]
-    head = head_mod.HeadParams(
-        w=_pop(segments, "head.w", path), b=_pop(segments, "head.b", path)
+    params = map_params(
+        lambda name, _: _pop(segments, name, path), params_template(len(branch_ids))
     )
     if segments:
         raise FormatError(
             f"{path}: unexpected extra segments {sorted(segments)}"
         )
-    return ModelParams(
-        ae=ae_params, nsdru=nsdru, csie=gru.CsieParams(branches=branches), head=head
-    )
+    return params
 
 
 def checkpoint_element_count(path: str) -> int:

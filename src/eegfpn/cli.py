@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 usage error, 2 data/format/configuration error,
-3 numeric failure (a gradient check above tolerance or a non-finite
-loss). Diagnostics go to stderr; results go to files or stdout.
+3 numeric failure (a gradient check above tolerance, or a non-finite
+loss or gradient). Diagnostics go to stderr; results go to files or stdout.
 """
 
 import argparse
@@ -45,10 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_text(path: str, text: str):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    signals.atomic_write(path, text.encode("utf-8"))
 
 
 def _load_config(path) -> RunConfig:

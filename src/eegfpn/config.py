@@ -38,7 +38,6 @@ class RunConfig:
     max_epochs: int = 200
     split_fraction: float = 0.8
     seed: int = 0
-    deterministic_mode: bool = True
 
     @property
     def d(self) -> int:
@@ -80,11 +79,6 @@ _FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 def _parse_value(key: str, raw: str, lineno: int):
     kind = _FIELDS[key]
     try:
-        if kind is bool:
-            lowered = raw.lower()
-            if lowered not in ("true", "false"):
-                raise ValueError(raw)
-            return lowered == "true"
         if kind is int:
             return int(raw)
         if kind is float:
@@ -117,8 +111,5 @@ def format_config(config: RunConfig) -> str:
     """Echo every field as `key = value`, one per line, field order."""
     lines = []
     for f in dataclasses.fields(RunConfig):
-        value = getattr(config, f.name)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{f.name} = {value}")
+        lines.append(f"{f.name} = {getattr(config, f.name)}")
     return "\n".join(lines) + "\n"

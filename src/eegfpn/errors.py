@@ -27,7 +27,3 @@ class FormatError(EegFpnError, ValueError):
 
 class NumericError(EegFpnError, ArithmeticError):
     """A computation produced or received non-finite values."""
-
-
-class StateError(EegFpnError, RuntimeError):
-    """An operation was invoked without the cached state it requires."""

@@ -14,21 +14,21 @@ from .model import (
     model_backward,
     model_forward,
     model_loss,
-    pack_grads,
     pack_params,
+    param_segments,
     unpack_params,
 )
 from .ops import GradCheckReport, grad_check
 
 GRAD_TOLERANCE = 1e-4
 
-# Every harness nudges the freshly initialized parameters with a small
-# uniform draw before differencing. Initialization zeroes all biases, so
-# a ReLU unit whose inputs are all dead sits with its pre-activation at
-# exactly zero: the subgradient convention (zero) and a central
-# difference (half the slope) then disagree at every step size, which
-# says nothing about the backward pass. Off that measure-zero point the
-# comparison is meaningful again.
+# Every harness but the GRU one nudges the freshly initialized parameters
+# with a small uniform draw before differencing. Initialization zeroes all
+# biases, so a ReLU unit whose inputs are all dead sits with its
+# pre-activation at exactly zero: the subgradient convention (zero) and a
+# central difference (half the slope) then disagree at every step size,
+# which says nothing about the backward pass. Off that measure-zero point
+# the comparison is meaningful again.
 #
 # Seeds are still pinned to keep the check clear of two step-size
 # artifacts: with a much smaller step the difference quotient drowns in
@@ -45,33 +45,21 @@ def toy_config() -> RunConfig:
     return RunConfig(ch=4, t=16, e1=16, e2=8, z=4, h=4, k=2)
 
 
-def _jitter(params, names, rng, scale=HARNESS_JITTER):
-    """Nudge every named array off its initialized value (see the note on
-    exact ReLU kinks above)."""
-    for name in names:
-        arr = getattr(params, name)
+def _jitter(params, rng, scale=HARNESS_JITTER):
+    """Nudge every array off its initialized value, in segment order (see
+    the note on exact ReLU kinks above)."""
+    for _, arr in param_segments(params):
         arr += rng.uniform(-scale, scale, size=arr.shape)
 
 
-def _check_arrays(arrays, loss_of, grads_of, epsilon=1e-5) -> GradCheckReport:
-    """grad_check over a list of arrays treated as one flat vector."""
-    shapes = [a.shape for a in arrays]
-    sizes = [a.size for a in arrays]
-
-    def unpack(theta):
-        out, cursor = [], 0
-        for shape, size in zip(shapes, sizes):
-            out.append(theta[cursor:cursor + size].reshape(shape))
-            cursor += size
-        return out
-
-    def pack(arrs):
-        return np.concatenate([np.asarray(a).reshape(-1) for a in arrs])
-
+def _check(params, loss_of, grads_of, epsilon=1e-5) -> GradCheckReport:
+    """grad_check over every array of `params`, packed in segment order.
+    `loss_of(p)` and `grads_of(p)` take parameters of params' type;
+    grads_of returns its gradients in that same type."""
     return grad_check(
-        lambda theta: loss_of(unpack(theta)),
-        lambda theta: pack(grads_of(unpack(theta))),
-        pack(arrays),
+        lambda theta: loss_of(unpack_params(theta, params)),
+        lambda theta: pack_params(grads_of(unpack_params(theta, params))),
+        pack_params(params),
         epsilon=epsilon,
     )
 
@@ -79,55 +67,41 @@ def _check_arrays(arrays, loss_of, grads_of, epsilon=1e-5) -> GradCheckReport:
 def check_autoencoder(seed: int, output_activation: str = "relu") -> GradCheckReport:
     """MSE reconstruction loss through encoder, skips and decoder."""
     rng = np.random.default_rng(seed)
-    dims = ae.AeDims(d=12, e1=8, e2=6, z=3)
-    params = ae.init_ae(dims, seed)
-    _jitter(params, ("w1", "b1", "w2", "b2", "w3", "b3",
-                     "w4", "b4", "w5", "b5", "w6", "b6"), rng)
+    params = ae.init_ae(ae.AeDims(d=12, e1=8, e2=6, z=3), seed)
+    _jitter(params, rng)
     x = rng.uniform(0.0, 1.0, size=(4, 12))
     target = rng.uniform(0.0, 1.0, size=(4, 12))
-    order = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4", "w5", "b5", "w6", "b6")
 
-    def rebuild(arrays):
-        return ae.AeParams(**dict(zip(order, arrays)))
-
-    def loss_of(arrays):
-        trace = ae.ae_forward(x, rebuild(arrays), output_activation)
+    def loss_of(p):
+        trace = ae.ae_forward(x, p, output_activation)
         return ae.reconstruction_loss(trace.recon, target)
 
-    def grads_of(arrays):
-        p = rebuild(arrays)
+    def grads_of(p):
         trace = ae.ae_forward(x, p, output_activation)
         d_recon = 2.0 * (trace.recon - target) / target.size
-        g = ae.ae_backward(trace, d_recon, p, output_activation)
-        return [getattr(g, name) for name in order]
+        return ae.ae_backward(trace, d_recon, p, output_activation)[0]
 
-    return _check_arrays([getattr(params, name) for name in order], loss_of, grads_of)
+    return _check(params, loss_of, grads_of)
 
 
 def check_nsdru(seed: int) -> GradCheckReport:
     """MSE against a fixed target after conv/pool/conv."""
     rng = np.random.default_rng(seed)
     params = reducer.init_nsdru(hidden_channels=8, seed=seed)
-    order = ("conv1_w", "conv1_b", "conv2_w", "conv2_b")
-    _jitter(params, order, rng)
+    _jitter(params, rng)
     x = rng.uniform(0.0, 1.0, size=(1, 1, 4, 6))
     target = rng.normal(size=(1, 1, 2, 3))
 
-    def rebuild(arrays):
-        return reducer.NsdruParams(**dict(zip(order, arrays)))
-
-    def loss_of(arrays):
-        trace = reducer.nsdru_forward(x, rebuild(arrays))
+    def loss_of(p):
+        trace = reducer.nsdru_forward(x, p)
         return float(np.mean((trace.act2 - target) ** 2))
 
-    def grads_of(arrays):
-        p = rebuild(arrays)
+    def grads_of(p):
         trace = reducer.nsdru_forward(x, p)
         upstream = 2.0 * (trace.act2 - target) / target.size
-        g = reducer.nsdru_backward(trace, upstream, p)
-        return [getattr(g, name) for name in order]
+        return reducer.nsdru_backward(trace, upstream, p)[0]
 
-    return _check_arrays([getattr(params, name) for name in order], loss_of, grads_of)
+    return _check(params, loss_of, grads_of)
 
 
 def check_csie(seed: int) -> GradCheckReport:
@@ -136,30 +110,17 @@ def check_csie(seed: int) -> GradCheckReport:
     params = gru.init_csie(input_size=2, hidden_size=4, k=2, seed=seed)
     sequence = rng.normal(size=(2, 3, 2))
     target = rng.normal(size=(2, 4))
-    names = [
-        (i, field) for i in range(params.k) for field in gru.GATE_FIELD_ORDER
-    ]
 
-    def rebuild(arrays):
-        branches = []
-        for i in range(params.k):
-            chunk = arrays[i * 9:(i + 1) * 9]
-            branches.append(gru.GruBranchParams(**dict(zip(gru.GATE_FIELD_ORDER, chunk))))
-        return gru.CsieParams(branches=branches)
-
-    def loss_of(arrays):
-        trace = gru.csie_forward(sequence, rebuild(arrays))
+    def loss_of(p):
+        trace = gru.csie_forward(sequence, p)
         return float(np.mean((trace.aggregate - target) ** 2))
 
-    def grads_of(arrays):
-        p = rebuild(arrays)
+    def grads_of(p):
         trace = gru.csie_forward(sequence, p)
         upstream = 2.0 * (trace.aggregate - target) / target.size
-        branch_grads, _ = gru.csie_backward(trace, upstream, p)
-        return [getattr(branch_grads[i], field) for i, field in names]
+        return gru.csie_backward(trace, upstream, p)[0]
 
-    arrays = [getattr(params.branches[i], field) for i, field in names]
-    return _check_arrays(arrays, loss_of, grads_of)
+    return _check(params, loss_of, grads_of)
 
 
 def check_full_pipeline(
@@ -171,25 +132,21 @@ def check_full_pipeline(
         config = toy_config()
     rng = np.random.default_rng(seed)
     params = init_model(config, config.ch, config.t, seed=seed)
-    theta0 = pack_params(params)
-    theta0 += rng.uniform(-HARNESS_JITTER, HARNESS_JITTER, size=theta0.shape)
+    _jitter(params, rng)
     rows = rng.uniform(0.0, 1.0, size=(4, config.d))
     labels = np.array([0, 1, 1, 0])
 
-    def loss_of(theta):
-        p = unpack_params(theta, params)
+    def loss_of(p):
         trace = model_forward(rows, config.ch, config.t, p, config.ae_output_activation)
         return model_loss(trace, labels, config.lambda_recon)
 
-    def grad_of(theta):
-        p = unpack_params(theta, params)
+    def grads_of(p):
         trace = model_forward(rows, config.ch, config.t, p, config.ae_output_activation)
-        grads = model_backward(
+        return model_backward(
             trace, labels, p, config.lambda_recon, config.ae_output_activation
         )
-        return pack_grads(grads)
 
-    return grad_check(loss_of, grad_of, theta0, epsilon=epsilon)
+    return _check(params, loss_of, grads_of, epsilon=epsilon)
 
 
 def run_suite(seed: int):

@@ -14,14 +14,12 @@ so the new state is a convex combination of the previous state and the
 candidate, with the update gate weighting the candidate.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ShapeError
 from .ops import sigmoid, tanh
-
-GATE_FIELD_ORDER = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
 
 
 @dataclass
@@ -77,19 +75,6 @@ class CsieTrace:
     aggregate: np.ndarray
 
 
-@dataclass
-class BranchGrads:
-    w_z: np.ndarray
-    u_z: np.ndarray
-    b_z: np.ndarray
-    w_r: np.ndarray
-    u_r: np.ndarray
-    b_r: np.ndarray
-    w_h: np.ndarray
-    u_h: np.ndarray
-    b_h: np.ndarray
-
-
 def init_branch(input_size: int, hidden_size: int, seed: int) -> GruBranchParams:
     """Glorot-uniform gate matrices, zero biases, deterministic per seed."""
     rng = np.random.default_rng(seed)
@@ -99,7 +84,7 @@ def init_branch(input_size: int, hidden_size: int, seed: int) -> GruBranchParams
         return rng.uniform(-bound, bound, size=(n_out, n_in))
 
     kwargs = {}
-    for name in GATE_FIELD_ORDER:
+    for name in (f.name for f in fields(GruBranchParams)):
         if name.startswith("w"):
             kwargs[name] = glorot(hidden_size, input_size)
         elif name.startswith("u"):
@@ -214,10 +199,11 @@ def csie_forward(sequence: np.ndarray, p: CsieParams) -> CsieTrace:
 
 
 def _branch_backward(trace: BranchTrace, upstream: np.ndarray, p: GruBranchParams):
-    """BPTT through one branch. Returns (grads, d_sequence)."""
+    """BPTT through one branch. Returns (GruBranchParams of gradients,
+    d_sequence)."""
     seq = trace.inputs
     n, steps, _ = seq.shape
-    g = BranchGrads(**{name: np.zeros_like(getattr(p, name)) for name in GATE_FIELD_ORDER})
+    g = GruBranchParams(**{f.name: np.zeros_like(getattr(p, f.name)) for f in fields(p)})
     d_seq = np.zeros_like(seq)
     d_h = np.asarray(upstream, dtype=np.float64)
     if d_h.shape != (n, p.hidden_size):
@@ -261,8 +247,7 @@ def _branch_backward(trace: BranchTrace, upstream: np.ndarray, p: GruBranchParam
 def csie_backward(trace: CsieTrace, upstream: np.ndarray, p: CsieParams):
     """Split the aggregate gradient 1/k into each branch, then BPTT.
 
-    Returns (list of BranchGrads in branch order, d_sequence summed over
-    branches).
+    Returns (CsieParams of gradients, d_sequence summed over branches).
     """
     share = np.asarray(upstream, dtype=np.float64) / p.k
     grads = []
@@ -271,7 +256,7 @@ def csie_backward(trace: CsieTrace, upstream: np.ndarray, p: CsieParams):
         g, d_seq = _branch_backward(branch_trace, share, branch)
         grads.append(g)
         d_seq_total = d_seq if d_seq_total is None else d_seq_total + d_seq
-    return grads, d_seq_total
+    return CsieParams(branches=grads), d_seq_total
 
 
 def sequence_to_map_grad(d_sequence: np.ndarray) -> np.ndarray:
@@ -282,8 +267,3 @@ def sequence_to_map_grad(d_sequence: np.ndarray) -> np.ndarray:
 def count_branch_params(input_size: int, hidden_size: int) -> int:
     f, h = input_size, hidden_size
     return 3 * (h * f + h * h + h)
-
-
-def branch_param_arrays(p: GruBranchParams):
-    """Gate arrays in the documented serialization order."""
-    return [getattr(p, name) for name in GATE_FIELD_ORDER]

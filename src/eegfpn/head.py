@@ -19,13 +19,6 @@ class HeadParams:
 
 
 @dataclass
-class HeadGrads:
-    w: np.ndarray
-    b: np.ndarray
-    features: np.ndarray
-
-
-@dataclass
 class Prediction:
     logits: np.ndarray
     probs: np.ndarray
@@ -94,12 +87,10 @@ def cross_entropy(probs: np.ndarray, labels) -> np.ndarray:
     return float(out[0]) if squeeze else out
 
 
-def head_backward(d_logits: np.ndarray, features: np.ndarray, p: HeadParams) -> HeadGrads:
-    return HeadGrads(
-        w=d_logits.T @ features,
-        b=d_logits.sum(axis=0),
-        features=d_logits @ p.w,
-    )
+def head_backward(d_logits: np.ndarray, features: np.ndarray, p: HeadParams):
+    """Returns (HeadParams of gradients, d_features)."""
+    grads = HeadParams(w=d_logits.T @ features, b=d_logits.sum(axis=0))
+    return grads, d_logits @ p.w
 
 
 def confusion(predictions, labels):

@@ -2,13 +2,13 @@
 reconstruction viewed on the (ch, t) grid -> conv/pool compressor ->
 parallel-GRU ensemble -> two-class head.
 
-Also owns the canonical parameter ordering used by the checkpoint format
-and the optimizer, and flat pack/unpack helpers for finite-difference
-gradient checking.
+Also owns the canonical parameter ordering used by the checkpoint format,
+the optimizer and the gradient checks: one walk over the parameter
+dataclasses that serves gradients alike, since every backward pass returns
+its gradients in the same type as its parameters.
 """
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,14 +36,6 @@ class ModelTrace:
     csie: gru.CsieTrace
     logits: np.ndarray
     probs: np.ndarray
-
-
-@dataclass
-class ModelGrads:
-    ae: ae.AeGrads
-    nsdru: reducer.NsdruGrads
-    csie: list
-    head: head_mod.HeadGrads
 
 
 def init_model(config: RunConfig, ch: int, t: int, seed=None) -> ModelParams:
@@ -95,79 +87,97 @@ def model_loss(trace: ModelTrace, labels, lambda_recon: float) -> float:
 def model_backward(
     trace: ModelTrace, labels, params: ModelParams, lambda_recon: float,
     output_activation: str = "relu",
-) -> ModelGrads:
+) -> ModelParams:
+    """Gradients of model_loss, as a ModelParams of gradient arrays."""
     labels = np.asarray(labels, dtype=np.int64)
     n = trace.probs.shape[0]
     onehot = np.zeros_like(trace.probs)
     onehot[np.arange(n), labels] = 1.0
     d_logits = (trace.probs - onehot) / n
 
-    head_grads = head_mod.head_backward(d_logits, trace.csie.aggregate, params.head)
-    branch_grads, d_seq = gru.csie_backward(trace.csie, head_grads.features, params.csie)
+    head_grads, d_features = head_mod.head_backward(
+        d_logits, trace.csie.aggregate, params.head
+    )
+    csie_grads, d_seq = gru.csie_backward(trace.csie, d_features, params.csie)
     d_map = gru.sequence_to_map_grad(d_seq)
-    nsdru_grads = reducer.nsdru_backward(trace.nsdru, d_map, params.nsdru)
-    d_recon = nsdru_grads.x.reshape(n, -1)
+    nsdru_grads, d_maps = reducer.nsdru_backward(trace.nsdru, d_map, params.nsdru)
+    d_recon = d_maps.reshape(n, -1)
     if lambda_recon != 0.0:
         d_recon = d_recon + lambda_recon * 2.0 * (trace.ae.recon - trace.ae.x) / trace.ae.recon.size
-    ae_grads = ae.ae_backward(trace.ae, d_recon, params.ae, output_activation)
-    return ModelGrads(ae=ae_grads, nsdru=nsdru_grads, csie=branch_grads, head=head_grads)
+    ae_grads, _ = ae.ae_backward(trace.ae, d_recon, params.ae, output_activation)
+    return ModelParams(ae=ae_grads, nsdru=nsdru_grads, csie=csie_grads, head=head_grads)
 
 
 # ---------------------------------------------------------------------------
 # Canonical parameter ordering (checkpoints, optimizer state, packing)
 # ---------------------------------------------------------------------------
 
-_AE_FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4", "w5", "b5", "w6", "b6")
-_NSDRU_FIELDS = ("conv1_w", "conv1_b", "conv2_w", "conv2_b")
+def map_params(fn, params, prefix=None):
+    """A copy of `params`' structure in which every array is replaced by
+    fn(name, array), called in serialization order.
+
+    `params` is a ModelParams or one stage's parameters (AeParams,
+    NsdruParams, CsieParams, HeadParams), of values or of gradients. In a
+    ModelParams the segment names are `ae.*`, `nsdru.*`, `gru{i}.*` and
+    `head.*`, stages and fields in dataclass order; a lone stage's arrays
+    go by their field names (`gru{i}.*` for a CsieParams).
+    """
+    if isinstance(params, ModelParams):
+        return ModelParams(**{
+            f.name: map_params(fn, getattr(params, f.name), f.name)
+            for f in fields(params)
+        })
+    if isinstance(params, gru.CsieParams):
+        return gru.CsieParams(branches=[
+            map_params(fn, branch, f"gru{i}") for i, branch in enumerate(params.branches)
+        ])
+    return type(params)(**{
+        f.name: fn(f"{prefix}.{f.name}" if prefix else f.name, getattr(params, f.name))
+        for f in fields(params)
+    })
 
 
-def param_segments(params: ModelParams):
+def param_segments(params):
     """(name, array) pairs in the fixed serialization order."""
-    segments = [(f"ae.{name}", getattr(params.ae, name)) for name in _AE_FIELDS]
-    segments += [(f"nsdru.{name}", getattr(params.nsdru, name)) for name in _NSDRU_FIELDS]
-    for i, branch in enumerate(params.csie.branches):
-        segments += [
-            (f"gru{i}.{name}", getattr(branch, name)) for name in gru.GATE_FIELD_ORDER
-        ]
-    segments += [("head.w", params.head.w), ("head.b", params.head.b)]
+    segments = []
+    map_params(lambda name, arr: segments.append((name, arr)), params)
     return segments
 
 
-def grad_segments(grads: ModelGrads):
-    """Gradient arrays aligned one-to-one with param_segments."""
-    segments = [(f"ae.{name}", getattr(grads.ae, name)) for name in _AE_FIELDS]
-    segments += [(f"nsdru.{name}", getattr(grads.nsdru, name)) for name in _NSDRU_FIELDS]
-    for i, branch in enumerate(grads.csie):
-        segments += [
-            (f"gru{i}.{name}", getattr(branch, name)) for name in gru.GATE_FIELD_ORDER
-        ]
-    segments += [("head.w", grads.head.w), ("head.b", grads.head.b)]
-    return segments
+def params_template(k: int) -> ModelParams:
+    """The structure of a model with k GRU branches, every array None;
+    map_params over it yields the segment names a checkpoint must hold."""
+    def empty(cls):
+        return cls(**dict.fromkeys(f.name for f in fields(cls)))
+
+    return ModelParams(
+        ae=empty(ae.AeParams),
+        nsdru=empty(reducer.NsdruParams),
+        csie=gru.CsieParams(branches=[empty(gru.GruBranchParams) for _ in range(k)]),
+        head=empty(head_mod.HeadParams),
+    )
 
 
-def n_params(params: ModelParams) -> int:
+def n_params(params) -> int:
     return sum(arr.size for _, arr in param_segments(params))
 
 
-def pack_params(params: ModelParams) -> np.ndarray:
-    """Concatenate every parameter into one flat vector (copy)."""
+def pack_params(params) -> np.ndarray:
+    """Concatenate every array into one flat vector (copy)."""
     return np.concatenate([arr.reshape(-1) for _, arr in param_segments(params)])
 
 
-def unpack_params(theta: np.ndarray, template: ModelParams) -> ModelParams:
-    """Rebuild a ModelParams with template's shapes from a flat vector."""
-    theta = np.asarray(theta, dtype=np.float64)
-    out = copy.deepcopy(template)
+def unpack_params(theta: np.ndarray, template):
+    """Rebuild `template`'s structure and shapes from a flat vector (copy)."""
+    theta = np.array(theta, dtype=np.float64).reshape(-1)
+    want = n_params(template)
+    if theta.size != want:
+        raise ShapeError(f"flat vector has {theta.size} entries, model needs {want}")
     cursor = 0
-    for _, arr in param_segments(out):
-        arr[...] = theta[cursor:cursor + arr.size].reshape(arr.shape)
+
+    def take(_, arr):
+        nonlocal cursor
         cursor += arr.size
-    if cursor != theta.size:
-        raise ShapeError(
-            f"flat vector has {theta.size} entries, model needs {cursor}"
-        )
-    return out
+        return theta[cursor - arr.size:cursor].reshape(arr.shape)
 
-
-def pack_grads(grads: ModelGrads) -> np.ndarray:
-    return np.concatenate([arr.reshape(-1) for _, arr in grad_segments(grads)])
+    return map_params(take, template)

@@ -23,17 +23,6 @@ def as_f64(x) -> np.ndarray:
 # Elementary ops
 # ---------------------------------------------------------------------------
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two 2-D arrays with an explicit shape contract."""
-    a = as_f64(a)
-    b = as_f64(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def relu(x) -> np.ndarray:
     return np.maximum(as_f64(x), 0.0)
 
@@ -50,16 +39,8 @@ def sigmoid(x) -> np.ndarray:
     return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-def sigmoid_grad(activated, upstream) -> np.ndarray:
-    return upstream * activated * (1.0 - activated)
-
-
 def tanh(x) -> np.ndarray:
     return np.tanh(as_f64(x))
-
-
-def tanh_grad(activated, upstream) -> np.ndarray:
-    return upstream * (1.0 - activated * activated)
 
 
 def softmax(logits, axis: int = -1) -> np.ndarray:
@@ -161,14 +142,9 @@ def conv2d_backward(upstream, x, kernels, stride: int = 1, padding: str = "same"
     return (d_x[0] if squeeze else d_x), d_k, d_b
 
 
-def maxpool2d(x) -> np.ndarray:
-    """2x2 stride-2 max pooling; trailing odd row/column is dropped."""
-    pooled, _ = maxpool2d_with_argmax(x)
-    return pooled
-
-
 def maxpool2d_with_argmax(x):
-    """Pooled output plus the row-major in-window argmax used by backward."""
+    """2x2 stride-2 max pooling (trailing odd row/column dropped); returns
+    the pooled output and the row-major in-window argmax used by backward."""
     x4, squeeze = _promote_nchw(x)
     n, c, h, w = x4.shape
     if h < 2 or w < 2:

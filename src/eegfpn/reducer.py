@@ -36,15 +36,6 @@ class NsdruTrace:
     act2: np.ndarray
 
 
-@dataclass
-class NsdruGrads:
-    conv1_w: np.ndarray
-    conv1_b: np.ndarray
-    conv2_w: np.ndarray
-    conv2_b: np.ndarray
-    x: np.ndarray
-
-
 def init_nsdru(hidden_channels: int, seed: int) -> NsdruParams:
     """Glorot-uniform kernels, zero biases, deterministic per seed."""
     if hidden_channels < 1:
@@ -90,8 +81,9 @@ def nsdru_forward(x: np.ndarray, p: NsdruParams) -> NsdruTrace:
     return NsdruTrace(x=x, act1=act1, pooled=pooled, pool_argmax=argmax, act2=act2)
 
 
-def nsdru_backward(trace: NsdruTrace, upstream: np.ndarray, p: NsdruParams) -> NsdruGrads:
-    """Exact reverse pass; each pool window's gradient lands on its argmax."""
+def nsdru_backward(trace: NsdruTrace, upstream: np.ndarray, p: NsdruParams):
+    """Exact reverse pass; each pool window's gradient lands on its argmax.
+    Returns (NsdruParams of gradients, d_x)."""
     d_act2 = relu_grad(trace.act2, upstream)
     d_pooled, d_conv2_w, d_conv2_b = conv2d_backward(
         d_act2, trace.pooled, p.conv2_w, padding="same"
@@ -101,10 +93,10 @@ def nsdru_backward(trace: NsdruTrace, upstream: np.ndarray, p: NsdruParams) -> N
     d_x, d_conv1_w, d_conv1_b = conv2d_backward(
         d_act1, trace.x, p.conv1_w, padding="same"
     )
-    return NsdruGrads(
-        conv1_w=d_conv1_w, conv1_b=d_conv1_b,
-        conv2_w=d_conv2_w, conv2_b=d_conv2_b, x=d_x,
+    grads = NsdruParams(
+        conv1_w=d_conv1_w, conv1_b=d_conv1_b, conv2_w=d_conv2_w, conv2_b=d_conv2_b,
     )
+    return grads, d_x
 
 
 def count_nsdru_params(hidden_channels: int) -> int:

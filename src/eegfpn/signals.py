@@ -10,6 +10,7 @@ filtering adds no group delay.
 import math
 import os
 import struct
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,14 +238,6 @@ def flatten(epochs: list) -> FlatFeatures:
     return FlatFeatures(rows=rows, ch=ch, t=t, labels=labels)
 
 
-def unflatten(row: np.ndarray, ch: int, t: int) -> np.ndarray:
-    """Inverse of the per-row layout used by `flatten`."""
-    row = np.asarray(row, dtype=np.float64)
-    if row.size != ch * t:
-        raise ShapeError(f"row of length {row.size} cannot reshape to ({ch}, {t})")
-    return row.reshape(ch, t)
-
-
 # ---------------------------------------------------------------------------
 # Synthetic data
 # ---------------------------------------------------------------------------
@@ -291,11 +284,28 @@ def generate_synthetic(
 # f32 sampling_rate, u8 label, 15 bytes NUL-padded subject id, then
 # ch*t float32 samples in channel-major order.
 
-def _atomic_write(path: str, payload: bytes):
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+# mkstemp creates its file with mode 0600; a finished file gets the mode
+# that a plain open() would have given it under the process umask.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
+def atomic_write(path: str, payload: bytes):
+    """Write `payload` to `path` through a uniquely named temp file in the
+    same directory, so a reader sees the old file or the new one, never a
+    partial one. The temp file is removed if the write fails."""
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(os.path.abspath(path)),
+        prefix=f".{os.path.basename(path)}.", suffix=".tmp",
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.chmod(tmp, 0o666 & ~_UMASK)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_epoch_file(epoch: Epoch, path: str):
@@ -312,7 +322,7 @@ def write_epoch_file(epoch: Epoch, path: str):
         subject,
     )
     body = epoch.samples.astype("<f4").tobytes(order="C")
-    _atomic_write(path, header + body)
+    atomic_write(path, header + body)
 
 
 def read_epoch_file(path: str) -> Epoch:
@@ -343,7 +353,7 @@ def read_epoch_file(path: str) -> Epoch:
 
 def write_manifest(path: str, names: list):
     text = "".join(f"{name}\n" for name in names)
-    _atomic_write(path, text.encode("utf-8"))
+    atomic_write(path, text.encode("utf-8"))
 
 
 def read_manifest(path: str) -> list:

@@ -18,7 +18,6 @@ from .config import RunConfig
 from .errors import ConfigError, NumericError, ShapeError
 from .model import (
     ModelParams,
-    grad_segments,
     init_model,
     model_backward,
     model_forward,
@@ -101,18 +100,24 @@ def init_adam(params: ModelParams) -> AdamState:
 
 
 def adam_step(
-    params: ModelParams, grads, state: AdamState,
+    params: ModelParams, grads: ModelParams, state: AdamState,
     lr: float, beta1: float, beta2: float, epsilon: float,
 ) -> AdamState:
-    """One bias-corrected Adam update, in place over the param arrays."""
-    state.step += 1
-    t = state.step
-    for (name, arr), (g_name, g) in zip(param_segments(params), grad_segments(grads)):
+    """One bias-corrected Adam update, in place over the param arrays.
+    Every gradient is checked before any parameter or state changes."""
+    segments = param_segments(params)
+    grad_segs = param_segments(grads)
+    for (name, arr), (g_name, g) in zip(segments, grad_segs):
         if g_name != name or g.shape != arr.shape:
             raise ShapeError(
                 f"gradient segment {g_name!r} {g.shape} does not match "
                 f"parameter {name!r} {arr.shape}"
             )
+        if not np.isfinite(g).all():
+            raise NumericError(f"non-finite gradient in segment {name!r}")
+    state.step += 1
+    t = state.step
+    for (name, arr), (_, g) in zip(segments, grad_segs):
         m = state.m[name]
         v = state.v[name]
         m *= beta1

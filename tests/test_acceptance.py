@@ -219,7 +219,7 @@ def test_criterion_8_determinism(tmp_path):
     )
     config = RunConfig(ch=4, t=32, e1=16, e2=8, z=4, h=4, k=2,
                        nsdru_hidden_channels=4, batch_size=8, max_epochs=3,
-                       seed=3, deterministic_mode=True)
+                       seed=3)
     blobs, csvs = [], []
     for name in ("a", "b"):
         result = trainer.train(config, data)

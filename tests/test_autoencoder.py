@@ -154,9 +154,10 @@ class TestBackward:
         p = ae.init_ae(ae.AeDims(d=8, e1=6, e2=4, z=2), seed=4)
         x = np.random.default_rng(4).uniform(size=(3, 8))
         trace = ae.ae_forward(x, p)
-        g = ae.ae_backward(trace, np.zeros_like(trace.recon), p)
-        for name in ("w1", "b3", "w4", "w6", "x"):
+        g, d_x = ae.ae_backward(trace, np.zeros_like(trace.recon), p)
+        for name in ("w1", "b3", "w4", "w6"):
             np.testing.assert_array_equal(getattr(g, name), 0.0)
+        np.testing.assert_array_equal(d_x, 0.0)
 
     def test_skip_carries_gradient_when_decoder_path_dead(self):
         # With the first decoder layer zeroed its ReLU output is all zero,
@@ -171,7 +172,7 @@ class TestBackward:
         target = rng.uniform(size=(3, 8))
         trace = ae.ae_forward(x, p)
         d_recon = 2.0 * (trace.recon - target) / target.size
-        g = ae.ae_backward(trace, d_recon, p)
+        g, _ = ae.ae_backward(trace, d_recon, p)
         assert np.any(g.w2 != 0.0)
         # And the routing is numerically exact: finite differences on b2.
         eps = 1e-6

@@ -27,9 +27,7 @@ class TestParsing:
         assert parse_config(write(tmp_path, text)).h == 16
 
     def test_bool_and_float_forms(self, tmp_path):
-        text = "deterministic_mode = false\nlearning_rate = 5e-4\n"
-        config = parse_config(write(tmp_path, text))
-        assert config.deterministic_mode is False
+        config = parse_config(write(tmp_path, "learning_rate = 5e-4\n"))
         assert config.learning_rate == 5e-4
 
     def test_string_field(self, tmp_path):
@@ -44,10 +42,6 @@ class TestParsing:
         with pytest.raises(ParseError, match="line 1.*'k'"):
             parse_config(write(tmp_path, "k = banana\n"))
 
-    def test_bad_bool_rejected(self, tmp_path):
-        with pytest.raises(ParseError):
-            parse_config(write(tmp_path, "deterministic_mode = yes\n"))
-
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="momentum"):
             parse_config(write(tmp_path, "momentum = 0.9\n"))
@@ -59,7 +53,7 @@ class TestParsing:
 class TestRoundTrip:
     def test_format_then_parse_identity(self, tmp_path):
         config = RunConfig(ch=4, t=32, k=2, h=8, learning_rate=3e-4,
-                           deterministic_mode=False, ae_output_activation="linear")
+                           ae_output_activation="linear")
         back = parse_config(write(tmp_path, format_config(config)))
         assert back == config
 

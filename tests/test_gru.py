@@ -6,12 +6,13 @@ import pytest
 
 from eegfpn import gradcheck, gru
 from eegfpn.errors import ShapeError
+from eegfpn.model import pack_params, param_segments
 
 
 def zero_branch(f=2, h=3) -> gru.GruBranchParams:
     p = gru.init_branch(f, h, seed=0)
-    for name in gru.GATE_FIELD_ORDER:
-        getattr(p, name)[...] = 0.0
+    for _, arr in param_segments(p):
+        arr[...] = 0.0
     return p
 
 
@@ -170,8 +171,8 @@ class TestBackward:
         trace = gru.csie_forward(seq, params)
         upstream = np.random.default_rng(17).normal(size=(2, 4))
         grads, _ = gru.csie_backward(trace, upstream, params)
-        for name in gru.GATE_FIELD_ORDER:
-            np.testing.assert_array_equal(getattr(grads[0], name), getattr(grads[1], name))
+        first, second = grads.branches
+        np.testing.assert_array_equal(pack_params(first), pack_params(second))
 
     def test_zero_upstream_zero_grads(self):
         params = gru.init_csie(2, 4, k=2, seed=8)
@@ -179,11 +180,10 @@ class TestBackward:
         trace = gru.csie_forward(seq, params)
         grads, d_seq = gru.csie_backward(trace, np.zeros((1, 4)), params)
         np.testing.assert_array_equal(d_seq, 0.0)
-        for g in grads:
-            for name in gru.GATE_FIELD_ORDER:
-                np.testing.assert_array_equal(getattr(g, name), 0.0)
+        for _, g in param_segments(grads):
+            np.testing.assert_array_equal(g, 0.0)
 
     def test_param_count(self):
         assert gru.count_branch_params(2, 4) == 84
         p = gru.init_branch(2, 4, seed=0)
-        assert sum(a.size for a in gru.branch_param_arrays(p)) == 84
+        assert sum(a.size for _, a in param_segments(p)) == 84

@@ -12,7 +12,6 @@ from eegfpn.model import (
     model_forward,
     model_loss,
     n_params,
-    pack_grads,
     pack_params,
     param_segments,
     unpack_params,
@@ -92,7 +91,8 @@ class TestAssembly:
         labels = np.array([0, 1])
         trace = model_forward(rows, 4, 16, params)
         grads = model_backward(trace, labels, params, 0.1)
-        assert pack_grads(grads).size == pack_params(params).size
+        want = [(name, arr.shape) for name, arr in param_segments(params)]
+        assert [(name, g.shape) for name, g in param_segments(grads)] == want
 
     @pytest.mark.parametrize("seed", gradcheck.FULL_PIPELINE_SEEDS)
     def test_full_pipeline_grad_check(self, seed):
@@ -108,6 +108,30 @@ class TestCheckpoint:
         back = checkpoint.load_checkpoint(path)
         np.testing.assert_array_equal(pack_params(back), pack_params(params))
         assert back.csie.k == params.csie.k
+
+    def test_save_load_save_byte_identical(self, tmp_path):
+        config = RunConfig(ch=4, t=16, e1=16, e2=8, z=4, h=4, k=3)
+        params = init_model(config, 4, 16, seed=7)
+        first, second = str(tmp_path / "a.cfpn"), str(tmp_path / "b.cfpn")
+        checkpoint.save_checkpoint(params, first)
+        back = checkpoint.load_checkpoint(first)
+        assert back.csie.k == 3
+        checkpoint.save_checkpoint(back, second)
+        assert open(first, "rb").read() == open(second, "rb").read()
+
+    def test_save_leaves_neighbouring_tmp_file_alone(self, tmp_path):
+        params = init_model(toy(), 4, 16, seed=4)
+        path = tmp_path / "model.cfpn"
+        (tmp_path / "model.cfpn.tmp").write_bytes(b"someone else's file")
+        checkpoint.save_checkpoint(params, str(path))
+        assert (tmp_path / "model.cfpn.tmp").read_bytes() == b"someone else's file"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.cfpn", "model.cfpn.tmp"]
+        # Same permissions as a file made by a plain open(), not mkstemp's 0600.
+        (tmp_path / "plain").write_bytes(b"")
+        assert path.stat().st_mode == (tmp_path / "plain").stat().st_mode
+        np.testing.assert_array_equal(
+            pack_params(checkpoint.load_checkpoint(str(path))), pack_params(params)
+        )
 
     def test_element_tally_matches_n_params(self, tmp_path):
         params = init_model(toy(), 4, 16, seed=6)

@@ -164,21 +164,11 @@ class TestNormalizeAndFlatten:
         assert (feats.ch, feats.t) == (2, 4)
         np.testing.assert_array_equal(feats.labels, [1])
 
-    def test_unflatten_roundtrip(self):
-        rng = np.random.default_rng(8)
-        x = rng.normal(size=(3, 7))
-        feats = signals.flatten([Epoch(samples=x, sampling_rate=10.0, label=0)])
-        np.testing.assert_array_equal(signals.unflatten(feats.rows[0], 3, 7), x)
-
     def test_flatten_rejects_mixed_shapes(self):
         a = Epoch(samples=np.zeros((2, 8)), sampling_rate=10.0, label=0)
         b = Epoch(samples=np.zeros((2, 9)), sampling_rate=10.0, label=0)
         with pytest.raises(ShapeError):
             signals.flatten([a, b])
-
-    def test_unflatten_rejects_bad_length(self):
-        with pytest.raises(ShapeError):
-            signals.unflatten(np.zeros(7), 2, 4)
 
 
 class TestSyntheticData:
@@ -296,3 +286,10 @@ class TestEpochFiles:
         man = str(tmp_path / "m.txt")
         signals.write_manifest(man, ["a.eeg", "b.eeg"])
         assert open(man).read() == "a.eeg\nb.eeg\n"
+
+    def test_failed_write_removes_its_temp_file(self, tmp_path):
+        (tmp_path / "m.txt").write_text("old\n")
+        with pytest.raises(TypeError):
+            signals.atomic_write(str(tmp_path / "m.txt"), "text, not bytes")
+        assert [p.name for p in tmp_path.iterdir()] == ["m.txt"]
+        assert (tmp_path / "m.txt").read_text() == "old\n"

@@ -6,8 +6,8 @@ import pytest
 
 from eegfpn import train as trainer
 from eegfpn.config import RunConfig
-from eegfpn.errors import ConfigError, ShapeError
-from eegfpn.model import init_model, model_backward, model_forward, pack_params
+from eegfpn.errors import ConfigError, NumericError, ShapeError
+from eegfpn.model import init_model, model_backward, model_forward, pack_params, param_segments
 from eegfpn.signals import Epoch, generate_synthetic
 
 
@@ -65,8 +65,7 @@ class TestAdam:
 
     def test_zero_grad_is_noop(self):
         config, params, grads = self._setup()
-        from eegfpn.model import grad_segments
-        for _, g in grad_segments(grads):
+        for _, g in param_segments(grads):
             g[...] = 0.0
         before = pack_params(params)
         trainer.adam_step(params, grads, trainer.init_adam(params),
@@ -94,6 +93,31 @@ class TestAdam:
                                   config.beta1, config.beta2, config.adam_epsilon)
             outs.append(pack_params(params))
         np.testing.assert_array_equal(outs[0], outs[1])
+
+    def _assert_bad_step_changes_nothing(self, spoil, error):
+        config, params, grads = self._setup(seed=1)
+        state = trainer.init_adam(params)
+        step = (config.learning_rate, config.beta1, config.beta2, config.adam_epsilon)
+        trainer.adam_step(params, grads, state, *step)
+        before = [pack_params(params), state.step]
+        moments = [np.concatenate([a.ravel() for a in d.values()]) for d in (state.m, state.v)]
+        spoil(grads)
+        with pytest.raises(error):
+            trainer.adam_step(params, grads, state, *step)
+        np.testing.assert_array_equal(pack_params(params), before[0])
+        assert state.step == before[1] == 1
+        for d, want in zip((state.m, state.v), moments):
+            np.testing.assert_array_equal(np.concatenate([a.ravel() for a in d.values()]), want)
+
+    def test_wrong_last_gradient_shape_changes_nothing(self):
+        def spoil(grads):
+            grads.head.b = np.zeros(grads.head.b.size + 1)
+        self._assert_bad_step_changes_nothing(spoil, ShapeError)
+
+    def test_non_finite_gradient_changes_nothing(self):
+        def spoil(grads):
+            grads.ae.w1[0, 0] = np.nan
+        self._assert_bad_step_changes_nothing(spoil, NumericError)
 
 
 class TestPreprocess:
