@@ -158,7 +158,8 @@ def ae_backward(
     output_activation: str = "relu",
 ):
     """Exact reverse pass; skips route gradient to both of their inputs.
-    Returns (AeParams of gradients, d_x).
+    Returns the AeParams of gradients; the input rows are data, so no
+    gradient is formed for them.
 
     `d_recon` is the combined upstream on the sigmoid output (the
     reconstruction loss term plus whatever the downstream consumer of the
@@ -198,13 +199,11 @@ def ae_backward(
     d_pre1 = relu_grad(trace.enc1, d_enc1)
     d_w1 = d_pre1.T @ trace.x
     d_b1 = d_pre1.sum(axis=0)
-    d_x = d_pre1 @ p.w1
 
-    grads = AeParams(
+    return AeParams(
         w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2, w3=d_w3, b3=d_b3,
         w4=d_w4, b4=d_b4, w5=d_w5, b5=d_b5, w6=d_w6, b6=d_b6,
     )
-    return grads, d_x
 
 
 def count_ae_params(dims: AeDims) -> int:

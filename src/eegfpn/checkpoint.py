@@ -3,12 +3,13 @@
 Layout (little-endian): magic "CFPN", u32 version=1, u32 segment count,
 then per segment: u8 name length, name bytes, u32 rank, u32 dims[rank],
 float64 payload. Segment order is the canonical ordering from
-model.param_segments; loading validates names so a truncated or
-reordered file fails loudly.
+model.param_segments; loading validates the names in order, so a
+truncated or reordered file fails loudly.
 """
 
 import re
 import struct
+from itertools import zip_longest
 
 import numpy as np
 
@@ -84,12 +85,6 @@ def read_segments(path: str) -> dict:
     return segments
 
 
-def _pop(segments: dict, name: str, path: str) -> np.ndarray:
-    if name not in segments:
-        raise FormatError(f"{path}: missing checkpoint segment {name!r}")
-    return segments.pop(name)
-
-
 def load_checkpoint(path: str) -> ModelParams:
     segments = read_segments(path)
     branch_ids = sorted(
@@ -98,14 +93,14 @@ def load_checkpoint(path: str) -> ModelParams:
     )
     if branch_ids != list(range(len(branch_ids))) or not branch_ids:
         raise FormatError(f"{path}: branch segments are not contiguous: {branch_ids}")
-    params = map_params(
-        lambda name, _: _pop(segments, name, path), params_template(len(branch_ids))
-    )
-    if segments:
-        raise FormatError(
-            f"{path}: unexpected extra segments {sorted(segments)}"
-        )
-    return params
+    template = params_template(len(branch_ids))
+    want = [name for name, _ in param_segments(template)]
+    for index, (got, expected) in enumerate(zip_longest(segments, want)):
+        if got != expected:
+            raise FormatError(
+                f"{path}: segment {index} is {got!r}, expected {expected!r}"
+            )
+    return map_params(lambda name, _: segments[name], template)
 
 
 def checkpoint_element_count(path: str) -> int:

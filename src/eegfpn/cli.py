@@ -85,9 +85,10 @@ def _cmd_filter(args) -> int:
     names = []
     for path, epoch in zip(signals.read_manifest(args.data), epochs):
         name = os.path.basename(path)
-        signals.write_epoch_file(
-            signals.apply_bandpass(epoch, cascade), os.path.join(args.out, name)
+        filtered = dataclasses.replace(
+            epoch, samples=signals.apply_bandpass(epoch.samples, cascade)
         )
+        signals.write_epoch_file(filtered, os.path.join(args.out, name))
         names.append(name)
     manifest = os.path.join(args.out, "manifest.txt")
     signals.write_manifest(manifest, names)
@@ -213,8 +214,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--toy", action="store_true",
-                   help="use the built-in toy configuration (the only mode)")
     p.add_argument("--seed", type=int, default=gradcheck.FULL_PIPELINE_SEEDS[0])
     p.set_defaults(func=_cmd_gradcheck)
 

@@ -1,18 +1,11 @@
-"""Analytic parameter and FLOP accounting plus wall-clock inference
-timing. The FLOP convention is stated in every report because published
-counts are meaningless without one."""
+"""Analytic parameter and FLOP accounting. The FLOP convention is stated
+in every report because published counts are meaningless without one."""
 
-import statistics
-import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from .autoencoder import AeDims, count_ae_params
 from .config import RunConfig
-from .errors import ConfigError
 from .gru import count_branch_params
-from .model import ModelParams, model_forward
 from .reducer import count_nsdru_params
 
 FLOP_CONVENTION = (
@@ -28,7 +21,6 @@ FLOP_CONVENTION = (
 class CostReport:
     trainable_params: int
     flops_per_inference: int
-    cpu_ms: float = None
     convention: str = FLOP_CONVENTION
 
 
@@ -70,32 +62,10 @@ def count_flops(config: RunConfig) -> int:
     return total
 
 
-def time_inference(
-    params: ModelParams, rows: np.ndarray, ch: int, t: int,
-    repetitions: int = 5, output_activation: str = "relu",
-) -> float:
-    """Median wall-clock milliseconds of a single-epoch forward pass,
-    after one untimed warm-up."""
-    if repetitions < 3:
-        raise ConfigError(f"repetitions must be >= 3, got {repetitions}")
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim == 1:
-        rows = rows[None, :]
-    model_forward(rows[:1], ch, t, params, output_activation)
-    laps = []
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        model_forward(rows[:1], ch, t, params, output_activation)
-        laps.append((time.perf_counter() - start) * 1000.0)
-    return float(statistics.median(laps))
-
-
 def format_cost_report(report: CostReport) -> str:
     lines = [
         f"trainable_params: {report.trainable_params}",
         f"flops_per_inference: {report.flops_per_inference}",
+        f"flop_convention: {report.convention}",
     ]
-    if report.cpu_ms is not None:
-        lines.append(f"cpu_ms: {report.cpu_ms:.3f}")
-    lines.append(f"flop_convention: {report.convention}")
     return "\n".join(lines) + "\n"

@@ -79,7 +79,7 @@ def check_autoencoder(seed: int, output_activation: str = "relu") -> GradCheckRe
     def grads_of(p):
         trace = ae.ae_forward(x, p, output_activation)
         d_recon = 2.0 * (trace.recon - target) / target.size
-        return ae.ae_backward(trace, d_recon, p, output_activation)[0]
+        return ae.ae_backward(trace, d_recon, p, output_activation)
 
     return _check(params, loss_of, grads_of)
 

@@ -67,12 +67,6 @@ def predict(logit_vec: np.ndarray) -> Prediction:
     return Prediction(logits=z, probs=probs, label=int(np.argmax(probs)))
 
 
-def predict_batch(logit_rows: np.ndarray):
-    """(n, 2) logits -> ((n, 2) probabilities, (n,) class indices)."""
-    probs = softmax(np.asarray(logit_rows, dtype=np.float64), axis=-1)
-    return probs, np.argmax(probs, axis=-1)
-
-
 def cross_entropy(probs: np.ndarray, labels) -> np.ndarray:
     """Per-sample -ln p[label], probabilities floored at 1e-12."""
     p = np.asarray(probs, dtype=np.float64)

@@ -104,7 +104,7 @@ def model_backward(
     d_recon = d_maps.reshape(n, -1)
     if lambda_recon != 0.0:
         d_recon = d_recon + lambda_recon * 2.0 * (trace.ae.recon - trace.ae.x) / trace.ae.recon.size
-    ae_grads, _ = ae.ae_backward(trace.ae, d_recon, params.ae, output_activation)
+    ae_grads = ae.ae_backward(trace.ae, d_recon, params.ae, output_activation)
     return ModelParams(ae=ae_grads, nsdru=nsdru_grads, csie=csie_grads, head=head_grads)
 
 

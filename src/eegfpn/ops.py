@@ -66,20 +66,12 @@ def _promote_nchw(x):
     raise ShapeError(f"expected (C,H,W) or (N,C,H,W) input, got {x.shape}")
 
 
-def _conv_padding(h: int, w: int, kh: int, kw: int, padding: str):
-    if padding == "same":
-        return kh - 1, kw - 1
-    if padding == "valid":
-        return 0, 0
-    raise ShapeError(f"padding must be 'same' or 'valid', got {padding!r}")
-
-
-def conv2d(x, kernels, bias, stride: int = 1, padding: str = "same") -> np.ndarray:
+def conv2d(x, kernels, bias) -> np.ndarray:
     """Cross-correlate `x` with `kernels` and add a per-channel bias.
 
     `x` is (C_in, H, W) or (N, C_in, H, W); `kernels` is
-    (C_out, C_in, kh, kw). With padding="same" and stride 1 the spatial
-    shape is preserved.
+    (C_out, C_in, kh, kw). Stride is 1 and the input is zero-padded
+    ("same"), so the spatial shape is preserved.
     """
     x4, squeeze = _promote_nchw(x)
     kernels = as_f64(kernels)
@@ -92,28 +84,19 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: str = "same") -> np.ndarr
         raise ShapeError(f"kernel channels {kc} do not match input channels {c_in}")
     if bias.shape != (c_out,):
         raise ShapeError(f"bias shape {bias.shape} does not match {c_out} output channels")
-    if stride < 1:
-        raise ShapeError(f"stride must be >= 1, got {stride}")
-    ph, pw = _conv_padding(h, w, kh, kw, padding)
-    hp, wp = h + ph, w + pw
-    if kh > hp or kw > wp:
-        raise ShapeError(
-            f"kernel ({kh}x{kw}) larger than padded input ({hp}x{wp})"
-        )
-    xp = np.zeros((n, c_in, hp, wp))
+    ph, pw = kh - 1, kw - 1
+    xp = np.zeros((n, c_in, h + ph, w + pw))
     xp[:, :, ph // 2:ph // 2 + h, pw // 2:pw // 2 + w] = x4
-    h_out = (hp - kh) // stride + 1
-    w_out = (wp - kw) // stride + 1
-    out = np.empty((n, c_out, h_out, w_out))
+    out = np.empty((n, c_out, h, w))
     out[:] = bias[None, :, None, None]
     for i in range(kh):
         for j in range(kw):
-            patch = xp[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride]
+            patch = xp[:, :, i:i + h, j:j + w]
             out += np.einsum("nchw,oc->nohw", patch, kernels[:, :, i, j])
     return out[0] if squeeze else out
 
 
-def conv2d_backward(upstream, x, kernels, stride: int = 1, padding: str = "same"):
+def conv2d_backward(upstream, x, kernels):
     """Gradients of conv2d w.r.t. input, kernels and bias.
 
     Returns (d_x, d_kernels, d_bias) with the same shapes as the
@@ -124,17 +107,14 @@ def conv2d_backward(upstream, x, kernels, stride: int = 1, padding: str = "same"
     kernels = as_f64(kernels)
     n, c_in, h, w = x4.shape
     c_out, _, kh, kw = kernels.shape
-    ph, pw = _conv_padding(h, w, kh, kw, padding)
-    hp, wp = h + ph, w + pw
-    h_out = (hp - kh) // stride + 1
-    w_out = (wp - kw) // stride + 1
-    xp = np.zeros((n, c_in, hp, wp))
+    ph, pw = kh - 1, kw - 1
+    xp = np.zeros((n, c_in, h + ph, w + pw))
     xp[:, :, ph // 2:ph // 2 + h, pw // 2:pw // 2 + w] = x4
     d_xp = np.zeros_like(xp)
     d_k = np.zeros_like(kernels)
     for i in range(kh):
         for j in range(kw):
-            sl = np.s_[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride]
+            sl = np.s_[:, :, i:i + h, j:j + w]
             d_k[:, :, i, j] = np.einsum("nohw,nchw->oc", up4, xp[sl])
             d_xp[sl] += np.einsum("nohw,oc->nchw", up4, kernels[:, :, i, j])
     d_b = up4.sum(axis=(0, 2, 3))

@@ -75,9 +75,9 @@ def nsdru_forward(x: np.ndarray, p: NsdruParams) -> NsdruTrace:
         raise ShapeError(f"expected (n, 1, ch, t) input, got shape {x.shape}")
     if x.shape[2] < 2 or x.shape[3] < 2:
         raise ShapeError(f"grid {x.shape[2:]} too small to pool (need >= 2x2)")
-    act1 = relu(conv2d(x, p.conv1_w, p.conv1_b, padding="same"))
+    act1 = relu(conv2d(x, p.conv1_w, p.conv1_b))
     pooled, argmax = maxpool2d_with_argmax(act1)
-    act2 = relu(conv2d(pooled, p.conv2_w, p.conv2_b, padding="same"))
+    act2 = relu(conv2d(pooled, p.conv2_w, p.conv2_b))
     return NsdruTrace(x=x, act1=act1, pooled=pooled, pool_argmax=argmax, act2=act2)
 
 
@@ -85,14 +85,10 @@ def nsdru_backward(trace: NsdruTrace, upstream: np.ndarray, p: NsdruParams):
     """Exact reverse pass; each pool window's gradient lands on its argmax.
     Returns (NsdruParams of gradients, d_x)."""
     d_act2 = relu_grad(trace.act2, upstream)
-    d_pooled, d_conv2_w, d_conv2_b = conv2d_backward(
-        d_act2, trace.pooled, p.conv2_w, padding="same"
-    )
+    d_pooled, d_conv2_w, d_conv2_b = conv2d_backward(d_act2, trace.pooled, p.conv2_w)
     d_act1 = maxpool2d_backward(d_pooled, trace.pool_argmax, trace.act1.shape)
     d_act1 = relu_grad(trace.act1, d_act1)
-    d_x, d_conv1_w, d_conv1_b = conv2d_backward(
-        d_act1, trace.x, p.conv1_w, padding="same"
-    )
+    d_x, d_conv1_w, d_conv1_b = conv2d_backward(d_act1, trace.x, p.conv1_w)
     grads = NsdruParams(
         conv1_w=d_conv1_w, conv1_b=d_conv1_b, conv2_w=d_conv2_w, conv2_b=d_conv2_b,
     )

@@ -1,5 +1,5 @@
-"""EEG epoch handling: bandpass preprocessing, normalization, flattening,
-synthetic data generation, and the binary epoch file format.
+"""EEG epoch handling: bandpass preprocessing, normalization, synthetic
+data generation, and the binary epoch file format.
 
 The bandpass realization is a Butterworth design obtained by bilinear
 transform with frequency prewarping, factored into stable second-order
@@ -11,7 +11,7 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,16 +87,6 @@ class BiquadCascade:
         return np.concatenate(roots)
 
 
-@dataclass
-class FlatFeatures:
-    """Epoch batch flattened row-wise; column index = channel*t + sample."""
-
-    rows: np.ndarray
-    ch: int
-    t: int
-    labels: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-
-
 # ---------------------------------------------------------------------------
 # Filter design and application
 # ---------------------------------------------------------------------------
@@ -168,74 +158,53 @@ def freq_response(cascade: BiquadCascade, freqs_hz, sampling_rate: float) -> np.
     return h
 
 
-def _run_cascade(sections: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Single forward pass of the cascade over axis 1 (time), per channel."""
-    y = x
-    n_ch, n_t = x.shape
+def _run_cascade(sections: np.ndarray, y: np.ndarray):
+    """Single forward pass of the cascade along axis 0 (time), in place.
+
+    Each step reads and writes one row of `y`; every operation is
+    elementwise, so the result for any one signal does not depend on what
+    else is stacked with it."""
     for b0, b1, b2, a1, a2 in sections:
-        out = np.empty_like(y)
-        s1 = np.zeros(n_ch)
-        s2 = np.zeros(n_ch)
-        for n in range(n_t):
-            xn = y[:, n]
+        s1 = np.zeros(y.shape[1:])
+        s2 = np.zeros(y.shape[1:])
+        for n in range(y.shape[0]):
+            xn = y[n]
             yn = b0 * xn + s1
             s1 = b1 * xn - a1 * yn + s2
             s2 = b2 * xn - a2 * yn
-            out[:, n] = yn
-        y = out
-    return y
+            y[n] = yn
 
 
-def apply_bandpass(epoch: Epoch, cascade: BiquadCascade) -> Epoch:
-    """Zero-phase filtering of every channel; metadata is preserved."""
-    x = epoch.samples
+def apply_bandpass(x: np.ndarray, cascade: BiquadCascade) -> np.ndarray:
+    """Zero-phase filtering of every signal along the last axis (time).
+    Returns a new array, laid out time-major in memory."""
+    x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
-        raise NumericError("epoch contains non-finite samples")
-    y = _run_cascade(cascade.sections, x)
-    y = _run_cascade(cascade.sections, y[:, ::-1])[:, ::-1]
-    return Epoch(
-        samples=y,
-        sampling_rate=epoch.sampling_rate,
-        label=epoch.label,
-        subject_id=epoch.subject_id,
-    )
+        raise NumericError("samples contain non-finite values")
+    # A time-major copy, so each step of the cascade reads one contiguous row.
+    y = np.moveaxis(x, -1, 0).copy()
+    _run_cascade(cascade.sections, y)
+    _run_cascade(cascade.sections, y[::-1])  # the same pass, time reversed
+    return np.moveaxis(y, 0, -1)
 
 
 # ---------------------------------------------------------------------------
-# Normalization and flattening
+# Normalization
 # ---------------------------------------------------------------------------
 
-def minmax_normalize(epoch: Epoch) -> Epoch:
-    """Scale each channel into [0,1]; a zero-range channel maps to 0.5."""
-    x = epoch.samples
-    lo = x.min(axis=1, keepdims=True)
-    hi = x.max(axis=1, keepdims=True)
+def minmax_normalize(x: np.ndarray) -> np.ndarray:
+    """Scale each signal along the last axis (time) into [0,1]; a
+    zero-range signal maps to 0.5."""
+    lo = x.min(axis=-1, keepdims=True)
+    hi = x.max(axis=-1, keepdims=True)
     span = hi - lo
-    flat = span[:, 0] == 0.0
+    flat = span[..., 0] == 0.0
     span[flat] = 1.0
-    y = (x - lo) / span
+    # C order whatever the input's layout, so rows reshape without a copy.
+    y = np.subtract(x, lo, order="C")
+    y /= span
     y[flat] = 0.5
-    return Epoch(
-        samples=y,
-        sampling_rate=epoch.sampling_rate,
-        label=epoch.label,
-        subject_id=epoch.subject_id,
-    )
-
-
-def flatten(epochs: list) -> FlatFeatures:
-    """Stack epochs into an (n, ch*t) matrix, channel-major per row."""
-    if not epochs:
-        raise ShapeError("flatten needs at least one epoch")
-    ch, t = epochs[0].samples.shape
-    for i, ep in enumerate(epochs):
-        if ep.samples.shape != (ch, t):
-            raise ShapeError(
-                f"epoch {i} has shape {ep.samples.shape}, expected ({ch}, {t})"
-            )
-    rows = np.stack([ep.samples.reshape(-1) for ep in epochs])
-    labels = np.array([ep.label for ep in epochs], dtype=np.int64)
-    return FlatFeatures(rows=rows, ch=ch, t=t, labels=labels)
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .model import (
     model_loss,
     param_segments,
 )
-from .signals import FilterSpec, apply_bandpass, design_bandpass, flatten, minmax_normalize
+from .signals import FilterSpec, apply_bandpass, design_bandpass, minmax_normalize
 
 HISTORY_CSV_HEADER = "epoch,train_loss,val_loss,val_accuracy"
 
@@ -76,9 +76,14 @@ def preprocess(epochs, config: RunConfig):
     cascade = design_bandpass(
         FilterSpec(config.f_low, config.f_high, config.filter_order), fs
     )
-    cleaned = [minmax_normalize(apply_bandpass(ep, cascade)) for ep in epochs]
-    feats = flatten(cleaned)
-    return feats.rows, feats.labels, feats.ch, feats.t
+    # Nothing holds the stacked input past the filter, so at most two
+    # (n, ch, t) arrays are alive at once.
+    cleaned = minmax_normalize(
+        apply_bandpass(np.stack([ep.samples for ep in epochs]), cascade)
+    )
+    labels = np.array([ep.label for ep in epochs], dtype=np.int64)
+    ch, t = shape
+    return cleaned.reshape(len(epochs), ch * t), labels, ch, t
 
 
 # ---------------------------------------------------------------------------

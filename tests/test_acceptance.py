@@ -77,20 +77,17 @@ def test_criterion_3_filter_dsp():
 
     t = np.arange(4000) / fs
     tone = np.sin(2 * np.pi * 60.0 * t)
-    ep = signals.Epoch(samples=tone[None, :], sampling_rate=fs, label=0)
-    out = apply_bandpass(ep, cascade).samples[0, 500:-500]
+    out = apply_bandpass(tone[None, :], cascade)[0, 500:-500]
     ratio = np.sqrt(np.mean(out**2) / np.mean(tone[500:-500] ** 2))
     stop_db = 20.0 * np.log10(max(ratio, 1e-300))
     stopband_ok = stop_db <= -20.0
 
-    dc = signals.Epoch(samples=np.ones((1, 4000)), sampling_rate=fs, label=0)
-    dc_mean = float(np.abs(np.mean(apply_bandpass(dc, cascade).samples[0, 500:-500])))
+    dc_mean = float(np.abs(np.mean(apply_bandpass(np.ones((1, 4000)), cascade)[0, 500:-500])))
     dc_ok = dc_mean < 0.02
 
     pulse = np.zeros(2001)
     pulse[990:1011] = np.hanning(21)
-    pep = signals.Epoch(samples=pulse[None, :], sampling_rate=fs, label=0)
-    peak_shift = abs(int(np.argmax(apply_bandpass(pep, cascade).samples[0])) - 1000)
+    peak_shift = abs(int(np.argmax(apply_bandpass(pulse[None, :], cascade)[0])) - 1000)
     pulse_ok = peak_shift <= 1
 
     ok = passband_ok and stopband_ok and dc_ok and pulse_ok

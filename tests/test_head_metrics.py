@@ -57,12 +57,6 @@ class TestPredict:
             assert pred.label == int(np.argmax(z))
             assert pred.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_batch_predict(self):
-        z = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
-        probs, labels = head.predict_batch(z)
-        np.testing.assert_array_equal(labels, [0, 1, 0])
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-
 
 class TestCrossEntropy:
     def test_uniform_gives_ln2(self):

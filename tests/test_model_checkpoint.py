@@ -1,5 +1,7 @@
 """Pipeline assembly and the checkpoint format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -165,23 +167,32 @@ class TestCheckpoint:
             checkpoint.load_checkpoint(str(tmp_path / "cut.cfpn"))
         assert "truncated" in str(err.value)
 
-    def test_missing_segment_named(self, tmp_path):
+    @staticmethod
+    def _rewrite(tmp_path, edit):
+        """Save a model, then write its segments back as `edit` lists them."""
         params = init_model(toy(), 4, 16, seed=0)
         path = str(tmp_path / "model.cfpn")
         checkpoint.save_checkpoint(params, path)
-        segments = checkpoint.read_segments(path)
-        # Rebuild the file without the head weights.
-        import struct
-        chunks = [b"CFPN", struct.pack("<I", 1), struct.pack("<I", len(segments) - 1)]
-        for name, arr in segments.items():
-            if name == "head.w":
-                continue
+        segments = edit(list(checkpoint.read_segments(path).items()))
+        chunks = [b"CFPN", struct.pack("<I", 1), struct.pack("<I", len(segments))]
+        for name, arr in segments:
             enc = name.encode()
             chunks += [struct.pack("<B", len(enc)), enc, struct.pack("<I", arr.ndim),
                        struct.pack(f"<{arr.ndim}I", *arr.shape), arr.tobytes()]
-        (tmp_path / "missing.cfpn").write_bytes(b"".join(chunks))
+        (tmp_path / "edited.cfpn").write_bytes(b"".join(chunks))
+        return str(tmp_path / "edited.cfpn")
+
+    def test_missing_segment_named(self, tmp_path):
+        path = self._rewrite(
+            tmp_path, lambda segs: [(n, a) for n, a in segs if n != "head.w"]
+        )
         with pytest.raises(FormatError, match="head.w"):
-            checkpoint.load_checkpoint(str(tmp_path / "missing.cfpn"))
+            checkpoint.load_checkpoint(path)
+
+    def test_reordered_segments_rejected(self, tmp_path):
+        path = self._rewrite(tmp_path, lambda segs: segs[::-1])
+        with pytest.raises(FormatError, match="head.b"):
+            checkpoint.load_checkpoint(path)
 
     def test_trailing_garbage_rejected(self, tmp_path):
         params = init_model(toy(), 4, 16, seed=0)

@@ -78,20 +78,25 @@ class TestConv2d:
         x = rng.normal(size=(1, 5, 6))
         k = np.ones((1, 1, 1, 1))
         b = np.zeros(1)
-        np.testing.assert_allclose(ops.conv2d(x, k, b, padding="valid"), x, atol=1e-12)
+        np.testing.assert_allclose(ops.conv2d(x, k, b), x, atol=1e-12)
 
     def test_all_ones_kernel_counts_neighbourhood(self):
         x = np.ones((1, 4, 4))
         k = np.ones((1, 1, 3, 3))
         b = np.zeros(1)
-        out = ops.conv2d(x, k, b, padding="valid")
-        np.testing.assert_array_equal(out, np.full((1, 2, 2), 9.0))
+        out = ops.conv2d(x, k, b)
+        # Zero padding: interior cells see 9 ones, edges 6, corners 4.
+        want = np.array([[4.0, 6.0, 6.0, 4.0],
+                         [6.0, 9.0, 9.0, 6.0],
+                         [6.0, 9.0, 9.0, 6.0],
+                         [4.0, 6.0, 6.0, 4.0]])
+        np.testing.assert_array_equal(out, want[None])
 
     def test_zero_kernel_returns_bias_map(self):
         x = np.arange(16.0).reshape(1, 4, 4)
         k = np.zeros((3, 1, 3, 3))
         b = np.array([1.0, -2.0, 0.5])
-        out = ops.conv2d(x, k, b, padding="same")
+        out = ops.conv2d(x, k, b)
         assert out.shape == (3, 4, 4)
         for c, v in enumerate(b):
             np.testing.assert_array_equal(out[c], np.full((4, 4), v))
@@ -101,7 +106,7 @@ class TestConv2d:
         rng = np.random.default_rng(ksize)
         x = rng.normal(size=(2, 3, 9, 11))
         k = rng.normal(size=(4, 3, ksize, ksize))
-        out = ops.conv2d(x, k, np.zeros(4), padding="same")
+        out = ops.conv2d(x, k, np.zeros(4))
         assert out.shape == (2, 4, 9, 11)
 
     def test_matches_explicit_loop(self):
@@ -109,23 +114,20 @@ class TestConv2d:
         x = rng.normal(size=(2, 3, 6, 7))
         k = rng.normal(size=(4, 3, 3, 3))
         b = rng.normal(size=4)
-        got = ops.conv2d(x, k, b, padding="valid")
-        want = np.zeros((2, 4, 4, 5))
+        got = ops.conv2d(x, k, b)
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        want = np.zeros((2, 4, 6, 7))
         for n in range(2):
             for o in range(4):
-                for i in range(4):
-                    for j in range(5):
-                        patch = x[n, :, i:i + 3, j:j + 3]
+                for i in range(6):
+                    for j in range(7):
+                        patch = xp[n, :, i:i + 3, j:j + 3]
                         want[n, o, i, j] = np.sum(patch * k[o]) + b[o]
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
             ops.conv2d(np.zeros((2, 4, 4)), np.zeros((1, 3, 3, 3)), np.zeros(1))
-
-    def test_kernel_larger_than_input_raises(self):
-        with pytest.raises(ShapeError):
-            ops.conv2d(np.zeros((1, 2, 2)), np.zeros((1, 1, 5, 5)), np.zeros(1), padding="valid")
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(23)
@@ -135,9 +137,9 @@ class TestConv2d:
         up = rng.normal(size=(2, 3, 5, 6))
 
         def loss(xv, kv, bv):
-            return float(np.sum(ops.conv2d(xv, kv, bv, padding="same") * up))
+            return float(np.sum(ops.conv2d(xv, kv, bv) * up))
 
-        d_x, d_k, d_b = ops.conv2d_backward(up, x, k, padding="same")
+        d_x, d_k, d_b = ops.conv2d_backward(up, x, k)
         eps = 1e-6
         for arr, grad in ((x, d_x), (k, d_k), (b, d_b)):
             flat = arr.reshape(-1)

@@ -5,7 +5,6 @@ import pytest
 
 from eegfpn import gradcheck, reducer
 from eegfpn.errors import ShapeError
-from eegfpn.signals import Epoch, flatten
 
 
 def zeroed(hidden=8):
@@ -29,8 +28,7 @@ class TestReshape:
     def test_inverts_flatten(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(3, 5))
-        feats = flatten([Epoch(samples=x, sampling_rate=10.0, label=0)])
-        maps = reducer.reshape_to_map(feats.rows, 3, 5)
+        maps = reducer.reshape_to_map(x.reshape(1, -1), 3, 5)
         assert maps.shape == (1, 1, 3, 5)
         np.testing.assert_array_equal(maps[0, 0], x)
 

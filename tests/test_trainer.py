@@ -128,6 +128,18 @@ class TestPreprocess:
         assert rows.min() >= 0.0 and rows.max() <= 1.0
         assert sorted(np.unique(labels)) == [0, 1]
 
+    def test_stacked_equals_each_epoch_alone(self):
+        # The filter and the scaling run once over the whole stacked
+        # dataset; each epoch's row must come out as if it ran alone.
+        config = tiny_config()
+        data = tiny_dataset()
+        data[3].samples[1] = 0.0  # stays zero through the filter: zero range
+        rows, labels, _, _ = trainer.preprocess(data, config)
+        for i, ep in enumerate(data):
+            alone, label, _, _ = trainer.preprocess([ep], config)
+            assert alone[0].tobytes() == rows[i].tobytes()
+            assert label[0] == labels[i]
+
     def test_mixed_sampling_rate_rejected(self):
         data = tiny_dataset()
         bad = Epoch(samples=data[0].samples, label=0, sampling_rate=999.0)
