@@ -116,6 +116,15 @@ class TestZeroPhaseFiltering:
         right = out[t // 2 + 1 : t // 2 + 1 + w][::-1]
         np.testing.assert_allclose(left, right, atol=1e-5)
 
+    def test_preserves_metadata(self):
+        # A plain array carries its shape as its only metadata: every leading
+        # axis is kept, and each signal is filtered on its own, so one epoch
+        # of a stacked (n, ch, t) array equals that epoch filtered alone.
+        x = np.random.default_rng(3).normal(size=(3, 2, 256)).astype(np.float32)
+        out = signals.apply_bandpass(x, self.cascade)
+        assert out.shape == x.shape and out.dtype == np.float64
+        np.testing.assert_array_equal(out[1], signals.apply_bandpass(x[1], self.cascade))
+
     def test_input_left_unchanged(self):
         # The cascade runs in place on a copy; a (1, t) input is the case
         # where a transposed view would already count as contiguous.
