@@ -4,10 +4,9 @@ Layout (little-endian): magic "CFPN", u32 version=1, u32 segment count,
 then per segment: u8 name length, name bytes, u32 rank, u32 dims[rank],
 float64 payload. Segment order is the canonical ordering from
 model.param_segments; loading validates the names in order, so a
-truncated or reordered file fails loudly.
+truncated or reordered file, or a repeated segment, fails loudly.
 """
 
-import re
 import struct
 from itertools import zip_longest
 
@@ -57,8 +56,8 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
-def read_segments(path: str) -> dict:
-    """Parse a checkpoint into an ordered {name: array} dict."""
+def read_segments(path: str) -> list:
+    """Parse a checkpoint into (name, array) pairs in file order."""
     with open(path, "rb") as fh:
         blob = fh.read()
     reader = _Reader(blob, path)
@@ -69,7 +68,7 @@ def read_segments(path: str) -> dict:
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     count = reader.u32("segment count")
-    segments = {}
+    segments = []
     for index in range(count):
         name_len = reader.take(1, f"segment {index} name length")[0]
         name = reader.take(name_len, f"segment {index} name").decode("ascii")
@@ -77,7 +76,7 @@ def read_segments(path: str) -> dict:
         dims = struct.unpack(f"<{rank}I", reader.take(4 * rank, f"segment {name!r} dims"))
         n_elem = int(np.prod(dims, dtype=np.int64)) if rank else 1
         payload = reader.take(8 * n_elem, f"segment {name!r} payload")
-        segments[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        segments.append((name, np.frombuffer(payload, dtype="<f8").reshape(dims).copy()))
     if reader.offset != len(blob):
         raise FormatError(
             f"{path}: {len(blob) - reader.offset} trailing bytes after last segment"
@@ -87,22 +86,23 @@ def read_segments(path: str) -> dict:
 
 def load_checkpoint(path: str) -> ModelParams:
     segments = read_segments(path)
-    branch_ids = sorted(
-        {int(m.group(1)) for m in
-         (re.match(r"gru(\d+)\.", name) for name in segments) if m}
-    )
-    if branch_ids != list(range(len(branch_ids))) or not branch_ids:
-        raise FormatError(f"{path}: branch segments are not contiguous: {branch_ids}")
-    template = params_template(len(branch_ids))
+    got = [name for name, _ in segments]
+    # k as the file claims it; the comparison with the whole canonical
+    # list below rejects any other branch layout.
+    k = sum(name.endswith(".w_z") for name in got)
+    if k < 1:
+        raise FormatError(f"{path}: no GRU branch segments")
+    template = params_template(k)
     want = [name for name, _ in param_segments(template)]
-    for index, (got, expected) in enumerate(zip_longest(segments, want)):
-        if got != expected:
+    for index, (have, expected) in enumerate(zip_longest(got, want)):
+        if have != expected:
             raise FormatError(
-                f"{path}: segment {index} is {got!r}, expected {expected!r}"
+                f"{path}: segment {index} is {have!r}, expected {expected!r}"
             )
-    return map_params(lambda name, _: segments[name], template)
+    arrays = dict(segments)
+    return map_params(lambda name, _: arrays[name], template)
 
 
 def checkpoint_element_count(path: str) -> int:
     """Total serialized element count, summed straight off the file."""
-    return sum(arr.size for arr in read_segments(path).values())
+    return sum(arr.size for _, arr in read_segments(path))

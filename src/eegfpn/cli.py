@@ -77,14 +77,12 @@ def _cmd_filter(args) -> int:
     epochs = signals.load_dataset(args.data)
     if not epochs:
         raise ConfigError(f"manifest {args.data} lists no epochs")
-    cascade = signals.design_bandpass(
-        signals.FilterSpec(config.f_low, config.f_high, config.filter_order),
-        epochs[0].sampling_rate,
-    )
+    spec = signals.FilterSpec(config.f_low, config.f_high, config.filter_order)
     os.makedirs(args.out, exist_ok=True)
     names = []
     for path, epoch in zip(signals.read_manifest(args.data), epochs):
         name = os.path.basename(path)
+        cascade = signals.design_bandpass(spec, epoch.sampling_rate)
         filtered = dataclasses.replace(
             epoch, samples=signals.apply_bandpass(epoch.samples, cascade)
         )
@@ -107,11 +105,7 @@ def _cmd_train(args) -> int:
     checkpoint.save_checkpoint(
         result.params, os.path.join(args.out, RUN_CHECKPOINT_NAME)
     )
-    report = costing.CostReport(
-        trainable_params=costing.count_params(used),
-        flops_per_inference=costing.count_flops(used),
-    )
-    _write_text(os.path.join(args.out, RUN_COST_NAME), costing.format_cost_report(report))
+    _write_text(os.path.join(args.out, RUN_COST_NAME), costing.cost_report(used))
     print(f"best_epoch={result.best_epoch} best_val_accuracy={result.best_val_accuracy:.6f}")
     return EXIT_OK
 
@@ -152,12 +146,7 @@ def _cmd_cost(args) -> int:
         config = dataclasses.replace(config, ch=args.ch)
     if args.t is not None:
         config = dataclasses.replace(config, t=args.t)
-    config.validate()
-    report = costing.CostReport(
-        trainable_params=costing.count_params(config),
-        flops_per_inference=costing.count_flops(config),
-    )
-    sys.stdout.write(costing.format_cost_report(report))
+    sys.stdout.write(costing.cost_report(config))
     return EXIT_OK
 
 

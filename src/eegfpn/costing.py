@@ -1,8 +1,6 @@
 """Analytic parameter and FLOP accounting. The FLOP convention is stated
 in every report because published counts are meaningless without one."""
 
-from dataclasses import dataclass
-
 from .autoencoder import AeDims, count_ae_params
 from .config import RunConfig
 from .gru import count_branch_params
@@ -15,13 +13,6 @@ FLOP_CONVENTION = (
     "activations, pooling, skip adds, branch averaging and softmax uncounted; "
     "model forward only (preprocessing excluded), per single epoch"
 )
-
-
-@dataclass
-class CostReport:
-    trainable_params: int
-    flops_per_inference: int
-    convention: str = FLOP_CONVENTION
 
 
 def dense_flops(n_in: int, n_out: int) -> int:
@@ -62,10 +53,11 @@ def count_flops(config: RunConfig) -> int:
     return total
 
 
-def format_cost_report(report: CostReport) -> str:
+def cost_report(config: RunConfig) -> str:
+    """The parameter count, the FLOPs and the FLOP convention, one per line."""
     lines = [
-        f"trainable_params: {report.trainable_params}",
-        f"flops_per_inference: {report.flops_per_inference}",
-        f"flop_convention: {report.convention}",
+        f"trainable_params: {count_params(config)}",
+        f"flops_per_inference: {count_flops(config)}",
+        f"flop_convention: {FLOP_CONVENTION}",
     ]
     return "\n".join(lines) + "\n"

@@ -60,7 +60,7 @@ class CsieParams:
 
 @dataclass
 class BranchTrace:
-    """Stacked per-step values; hiddens has T+1 rows (index 0 = h0)."""
+    """Stacked per-step values; hiddens has T+1 steps (index 0 = the zero start)."""
 
     inputs: np.ndarray
     update: np.ndarray
@@ -108,55 +108,38 @@ def init_csie(input_size: int, hidden_size: int, k: int, seed: int) -> CsieParam
     )
 
 
-def _as_batch(x, width, what):
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != width:
-        raise ShapeError(f"{what} must have width {width}, got shape {x.shape}")
-    return x, squeeze
-
-
 def gru_step(x_t, h_prev, p: GruBranchParams):
-    """One recurrence step; returns (update, reset, candidate, new_hidden)."""
-    x_t, squeeze = _as_batch(x_t, p.input_size, "step input")
-    h_prev, _ = _as_batch(h_prev, p.hidden_size, "previous hidden")
-    if x_t.shape[0] != h_prev.shape[0]:
+    """One recurrence step over (n, f) inputs and (n, h) states; returns
+    (update, reset, candidate, new_hidden), each (n, h)."""
+    n = x_t.shape[0]
+    if x_t.shape != (n, p.input_size) or h_prev.shape != (n, p.hidden_size):
         raise ShapeError(
-            f"batch mismatch: input {x_t.shape[0]} vs hidden {h_prev.shape[0]}"
+            f"step needs (n, {p.input_size}) input and (n, {p.hidden_size}) "
+            f"state, got {x_t.shape} and {h_prev.shape}"
         )
     update = sigmoid(x_t @ p.w_z.T + h_prev @ p.u_z.T + p.b_z)
     reset = sigmoid(x_t @ p.w_r.T + h_prev @ p.u_r.T + p.b_r)
     cand = tanh(x_t @ p.w_h.T + (reset * h_prev) @ p.u_h.T + p.b_h)
     h_new = (1.0 - update) * h_prev + update * cand
-    if squeeze:
-        return update[0], reset[0], cand[0], h_new[0]
     return update, reset, cand, h_new
 
 
-def run_branch(sequence: np.ndarray, p: GruBranchParams, h0=None) -> BranchTrace:
-    """Iterate gru_step over a (n, T, f) or (T, f) sequence from h0 (default 0)."""
+def run_branch(sequence: np.ndarray, p: GruBranchParams) -> BranchTrace:
+    """Iterate gru_step over a (n, T, f) sequence from a zero state."""
     seq = np.asarray(sequence, dtype=np.float64)
-    if seq.ndim == 2:
-        seq = seq[None, :, :]
     if seq.ndim != 3 or seq.shape[2] != p.input_size:
         raise ShapeError(
-            f"sequence must be (n, T, {p.input_size}), got shape {sequence.shape}"
+            f"sequence must be (n, T, {p.input_size}), got shape {seq.shape}"
         )
     n, steps, _ = seq.shape
     if steps == 0:
         raise ShapeError("cannot run a branch over an empty sequence")
     h = p.hidden_size
-    if h0 is None:
-        h0 = np.zeros((n, h))
-    else:
-        h0 = np.broadcast_to(np.asarray(h0, dtype=np.float64), (n, h)).copy()
     update = np.empty((n, steps, h))
     reset = np.empty((n, steps, h))
     cand = np.empty((n, steps, h))
     hiddens = np.empty((n, steps + 1, h))
-    hiddens[:, 0] = h0
+    hiddens[:, 0] = 0.0
     for t in range(steps):
         z_t, r_t, c_t, h_t = gru_step(seq[:, t], hiddens[:, t], p)
         update[:, t], reset[:, t], cand[:, t], hiddens[:, t + 1] = z_t, r_t, c_t, h_t

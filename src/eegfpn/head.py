@@ -5,7 +5,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .ops import softmax
 
 N_CLASSES = 2
 PROB_FLOOR = 1e-12
@@ -16,13 +15,6 @@ METRICS_CSV_HEADER = "subject_id,accuracy,precision,recall,f1"
 class HeadParams:
     w: np.ndarray  # (2, hidden)
     b: np.ndarray  # (2,)
-
-
-@dataclass
-class Prediction:
-    logits: np.ndarray
-    probs: np.ndarray
-    label: int
 
 
 @dataclass
@@ -47,38 +39,27 @@ def init_head(hidden_size: int, seed: int) -> HeadParams:
 
 
 def logits(features: np.ndarray, p: HeadParams) -> np.ndarray:
-    """Affine map (n, hidden) -> (n, 2); 1-D input returns a 2-vector."""
+    """Affine map (n, hidden) -> (n, 2)."""
     x = np.asarray(features, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != p.w.shape[1]:
         raise ShapeError(
-            f"head expects width {p.w.shape[1]}, got shape {features.shape}"
+            f"head expects (n, {p.w.shape[1]}) features, got shape {x.shape}"
         )
-    out = x @ p.w.T + p.b
-    return out[0] if squeeze else out
-
-
-def predict(logit_vec: np.ndarray) -> Prediction:
-    """Softmax then argmax; ties go to the lowest class index."""
-    z = np.asarray(logit_vec, dtype=np.float64).reshape(-1)
-    probs = softmax(z)
-    return Prediction(logits=z, probs=probs, label=int(np.argmax(probs)))
+    return x @ p.w.T + p.b
 
 
 def cross_entropy(probs: np.ndarray, labels) -> np.ndarray:
-    """Per-sample -ln p[label], probabilities floored at 1e-12."""
+    """Per-sample -ln p[label] over (n, 2) probabilities and n labels,
+    probabilities floored at 1e-12."""
     p = np.asarray(probs, dtype=np.float64)
-    squeeze = p.ndim == 1
-    if squeeze:
-        p = p[None, :]
-    y = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    if y.shape[0] != p.shape[0]:
-        raise ShapeError(f"{p.shape[0]} probability rows but {y.shape[0]} labels")
+    y = np.asarray(labels, dtype=np.int64)
+    if p.ndim != 2 or y.shape != (p.shape[0],):
+        raise ShapeError(
+            f"cross entropy needs (n, classes) probabilities and n labels, "
+            f"got shapes {p.shape} and {y.shape}"
+        )
     picked = np.maximum(p[np.arange(p.shape[0]), y], PROB_FLOOR)
-    out = -np.log(picked)
-    return float(out[0]) if squeeze else out
+    return -np.log(picked)
 
 
 def head_backward(d_logits: np.ndarray, features: np.ndarray, p: HeadParams):

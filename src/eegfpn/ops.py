@@ -57,23 +57,21 @@ def softmax(logits, axis: int = -1) -> np.ndarray:
 # Convolution / pooling
 # ---------------------------------------------------------------------------
 
-def _promote_nchw(x):
+def _as_nchw(x) -> np.ndarray:
     x = as_f64(x)
-    if x.ndim == 3:
-        return x[None], True
-    if x.ndim == 4:
-        return x, False
-    raise ShapeError(f"expected (C,H,W) or (N,C,H,W) input, got {x.shape}")
+    if x.ndim != 4:
+        raise ShapeError(f"expected (N,C,H,W) input, got {x.shape}")
+    return x
 
 
 def conv2d(x, kernels, bias) -> np.ndarray:
     """Cross-correlate `x` with `kernels` and add a per-channel bias.
 
-    `x` is (C_in, H, W) or (N, C_in, H, W); `kernels` is
-    (C_out, C_in, kh, kw). Stride is 1 and the input is zero-padded
-    ("same"), so the spatial shape is preserved.
+    `x` is (N, C_in, H, W); `kernels` is (C_out, C_in, kh, kw). Stride
+    is 1 and the input is zero-padded ("same"), so the spatial shape is
+    preserved.
     """
-    x4, squeeze = _promote_nchw(x)
+    x4 = _as_nchw(x)
     kernels = as_f64(kernels)
     bias = as_f64(bias)
     if kernels.ndim != 4:
@@ -93,7 +91,7 @@ def conv2d(x, kernels, bias) -> np.ndarray:
         for j in range(kw):
             patch = xp[:, :, i:i + h, j:j + w]
             out += np.einsum("nchw,oc->nohw", patch, kernels[:, :, i, j])
-    return out[0] if squeeze else out
+    return out
 
 
 def conv2d_backward(upstream, x, kernels):
@@ -102,8 +100,8 @@ def conv2d_backward(upstream, x, kernels):
     Returns (d_x, d_kernels, d_bias) with the same shapes as the
     forward operands.
     """
-    x4, squeeze = _promote_nchw(x)
-    up4, _ = _promote_nchw(upstream)
+    x4 = _as_nchw(x)
+    up4 = _as_nchw(upstream)
     kernels = as_f64(kernels)
     n, c_in, h, w = x4.shape
     c_out, _, kh, kw = kernels.shape
@@ -119,13 +117,13 @@ def conv2d_backward(upstream, x, kernels):
             d_xp[sl] += np.einsum("nohw,oc->nchw", up4, kernels[:, :, i, j])
     d_b = up4.sum(axis=(0, 2, 3))
     d_x = d_xp[:, :, ph // 2:ph // 2 + h, pw // 2:pw // 2 + w]
-    return (d_x[0] if squeeze else d_x), d_k, d_b
+    return d_x, d_k, d_b
 
 
 def maxpool2d_with_argmax(x):
     """2x2 stride-2 max pooling (trailing odd row/column dropped); returns
     the pooled output and the row-major in-window argmax used by backward."""
-    x4, squeeze = _promote_nchw(x)
+    x4 = _as_nchw(x)
     n, c, h, w = x4.shape
     if h < 2 or w < 2:
         raise ShapeError(f"maxpool2d requires H>=2 and W>=2, got ({h},{w})")
@@ -139,28 +137,23 @@ def maxpool2d_with_argmax(x):
     # np.argmax picks the first maximum, i.e. the row-major tie-break.
     idx = windows.argmax(axis=-1)
     pooled = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-    if squeeze:
-        return pooled[0], idx[0]
     return pooled, idx
 
 
 def maxpool2d_backward(upstream, argmax, input_shape) -> np.ndarray:
     """Route each pooled gradient to the argmax cell of its window."""
-    squeeze = len(input_shape) == 3
-    shape4 = (1, *input_shape) if squeeze else tuple(input_shape)
-    up4, _ = _promote_nchw(upstream)
-    idx = argmax[None] if squeeze else argmax
-    n, c, h, w = shape4
+    up4 = _as_nchw(upstream)
+    n, c, h, w = input_shape
     h2, w2 = h // 2, w // 2
     flat = np.zeros((n, c, h2, w2, 4))
-    np.put_along_axis(flat, idx[..., None], up4[..., None], axis=-1)
-    d_x = np.zeros(shape4)
+    np.put_along_axis(flat, argmax[..., None], up4[..., None], axis=-1)
+    d_x = np.zeros((n, c, h, w))
     d_x[:, :, :2 * h2, :2 * w2] = (
         flat.reshape(n, c, h2, w2, 2, 2)
         .transpose(0, 1, 2, 4, 3, 5)
         .reshape(n, c, 2 * h2, 2 * w2)
     )
-    return d_x[0] if squeeze else d_x
+    return d_x
 
 
 # ---------------------------------------------------------------------------

@@ -59,11 +59,9 @@ def init_nsdru(hidden_channels: int, seed: int) -> NsdruParams:
 def reshape_to_map(rows: np.ndarray, ch: int, t: int) -> np.ndarray:
     """Invert the channel-major flattening into (n, 1, ch, t) maps."""
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim == 1:
-        rows = rows[None, :]
-    if rows.shape[1] != ch * t:
+    if rows.ndim != 2 or rows.shape[1] != ch * t:
         raise ShapeError(
-            f"row width {rows.shape[1]} does not factor as ch*t = {ch}*{t}"
+            f"rows of shape {rows.shape} are not (n, ch*t) with ch*t = {ch}*{t}"
         )
     return rows.reshape(rows.shape[0], 1, ch, t)
 

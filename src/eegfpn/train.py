@@ -237,13 +237,6 @@ def predict_rows(rows, ch, t, params, config: RunConfig, batch_size=64):
     return np.concatenate(preds)
 
 
-def evaluate(params: ModelParams, epochs, config: RunConfig) -> head_mod.Metrics:
-    rows, labels, ch, t = preprocess(epochs, config)
-    _check_width(rows, params)
-    preds = predict_rows(rows, ch, t, params, config)
-    return head_mod.compute_metrics(*head_mod.confusion(preds, labels))
-
-
 def evaluate_by_subject(params: ModelParams, epochs, config: RunConfig):
     """Metrics per distinct subject_id, sorted; list of (subject, Metrics)."""
     rows, labels, ch, t = preprocess(epochs, config)

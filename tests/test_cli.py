@@ -70,6 +70,26 @@ class TestFilter:
         # The originals are untouched.
         assert not np.array_equal(filtered[0].samples, original[0].samples)
 
+    def test_each_file_filtered_at_its_own_rate(self, tmp_path, capsys):
+        src = tmp_path / "mixed"
+        src.mkdir()
+        rng = np.random.default_rng(4)
+        names = []
+        for fs in (250.0, 1000.0):
+            epoch = signals.Epoch(samples=rng.normal(size=(2, 256)), sampling_rate=fs, label=0)
+            names.append(f"fs{int(fs)}.eeg")
+            signals.write_epoch_file(epoch, str(src / names[-1]))
+        signals.write_manifest(str(src / "manifest.txt"), names)
+        out = tmp_path / "filtered"
+        assert cli.main(["filter", "--data", str(src / "manifest.txt"), "--out", str(out)]) == 0
+        for name, fs in zip(names, (250.0, 1000.0)):
+            original = signals.read_epoch_file(str(src / name)).samples
+            want = signals.apply_bandpass(
+                original, signals.design_bandpass(signals.FilterSpec(), fs)
+            ).astype("<f4")
+            got = signals.read_epoch_file(str(out / name)).samples
+            np.testing.assert_array_equal(got, want)
+
     def test_missing_manifest_exits_2(self, tmp_path, capsys):
         code = cli.main(["filter", "--data", str(tmp_path / "no.txt"),
                          "--out", str(tmp_path / "o")])

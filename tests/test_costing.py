@@ -66,12 +66,11 @@ class TestFlopCount:
 
 class TestReport:
     def test_format_lists_convention(self):
-        report = costing.CostReport(trainable_params=10, flops_per_inference=20)
-        text = costing.format_cost_report(report)
-        assert "trainable_params: 10" in text
-        assert "flops_per_inference: 20" in text
+        config = toy_config()
+        text = costing.cost_report(config)
+        assert f"trainable_params: {costing.count_params(config)}\n" in text
+        assert f"flops_per_inference: {costing.count_flops(config)}\n" in text
         assert "MAC = 2 FLOPs" in text
 
     def test_timing_line_optional(self):
-        text = costing.format_cost_report(costing.CostReport(1, 2))
-        assert "cpu_ms" not in text
+        assert "cpu_ms" not in costing.cost_report(toy_config())

@@ -19,7 +19,7 @@ def zero_branch(f=2, h=3) -> gru.GruBranchParams:
 class TestStep:
     def test_zero_params_from_ones(self):
         p = zero_branch()
-        z, r, cand, h = gru.gru_step(np.zeros(2), np.ones(3), p)
+        z, r, cand, h = gru.gru_step(np.zeros((1, 2)), np.ones((1, 3)), p)
         np.testing.assert_array_equal(z, 0.5)
         np.testing.assert_array_equal(r, 0.5)
         np.testing.assert_array_equal(cand, 0.0)
@@ -27,30 +27,32 @@ class TestStep:
 
     def test_zero_state_is_fixed_point(self):
         p = zero_branch()
-        _, _, _, h = gru.gru_step(np.zeros(2), np.zeros(3), p)
+        _, _, _, h = gru.gru_step(np.zeros((1, 2)), np.zeros((1, 3)), p)
         np.testing.assert_array_equal(h, 0.0)
 
     def test_saturated_update_gate_selects_candidate(self):
         p = gru.init_branch(2, 3, seed=1)
         p.b_z[...] = 50.0  # update gate pinned at ~1
-        x = np.array([0.3, -0.4])
-        h_prev = np.array([0.9, -0.2, 0.1])
+        x = np.array([[0.3, -0.4]])
+        h_prev = np.array([[0.9, -0.2, 0.1]])
         _, _, cand, h = gru.gru_step(x, h_prev, p)
         np.testing.assert_allclose(h, cand, atol=1e-6)
 
     def test_shape_errors(self):
         p = zero_branch(f=2, h=3)
         with pytest.raises(ShapeError):
-            gru.gru_step(np.zeros(5), np.zeros(3), p)
+            gru.gru_step(np.zeros((1, 5)), np.zeros((1, 3)), p)
         with pytest.raises(ShapeError):
-            gru.gru_step(np.zeros(2), np.zeros(4), p)
+            gru.gru_step(np.zeros((1, 2)), np.zeros((1, 4)), p)
+        with pytest.raises(ShapeError):
+            gru.gru_step(np.zeros((2, 2)), np.zeros((1, 3)), p)
 
     def test_gate_bounds_random(self):
         rng = np.random.default_rng(11)
         p = gru.init_branch(3, 4, seed=11)
         for _ in range(200):
-            x = rng.normal(scale=3.0, size=3)
-            h_prev = rng.uniform(-1.0, 1.0, size=4)
+            x = rng.normal(scale=3.0, size=(1, 3))
+            h_prev = rng.uniform(-1.0, 1.0, size=(1, 4))
             z, r, cand, h = gru.gru_step(x, h_prev, p)
             assert np.all((z > 0.0) & (z < 1.0))
             assert np.all((r > 0.0) & (r < 1.0))
@@ -61,26 +63,29 @@ class TestStep:
 class TestBranch:
     def test_geometric_decay_closed_form(self):
         # Zero parameters: z = 1/2 and candidate = 0, so each step exactly
-        # halves the state; from h0 = 1 the final state is 2^-T bitwise.
+        # halves the state; from a state of ones, T steps give 2^-T bitwise.
         p = zero_branch()
         for steps in (1, 5, 13, 20):
-            seq = np.zeros((1, steps, 2))
-            trace = gru.run_branch(seq, p, h0=np.ones(3))
-            np.testing.assert_array_equal(trace.hiddens[0, -1], 0.5 ** steps)
+            h = np.ones((1, 3))
+            for _ in range(steps):
+                h = gru.gru_step(np.zeros((1, 2)), h, p)[3]
+            np.testing.assert_array_equal(h, 0.5 ** steps)
 
     def test_single_step_equals_gru_step(self):
         p = gru.init_branch(2, 3, seed=4)
         x = np.random.default_rng(4).normal(size=(1, 1, 2))
         trace = gru.run_branch(x, p)
-        _, _, _, h = gru.gru_step(x[0, 0], np.zeros(3), p)
-        np.testing.assert_array_equal(trace.hiddens[0, -1], h)
+        _, _, _, h = gru.gru_step(x[:, 0], np.zeros((1, 3)), p)
+        np.testing.assert_array_equal(trace.hiddens[:, -1], h)
 
     def test_hidden_bound_preserved(self):
         rng = np.random.default_rng(6)
         p = gru.init_branch(2, 4, seed=6)
         seq = rng.normal(scale=5.0, size=(3, 30, 2))
-        trace = gru.run_branch(seq, p, h0=rng.uniform(-1, 1, size=4))
-        assert np.all(np.abs(trace.hiddens) <= 1.0)
+        h = np.repeat(rng.uniform(-1, 1, size=(1, 4)), 3, axis=0)
+        for t in range(30):
+            h = gru.gru_step(seq[:, t], h, p)[3]
+            assert np.all(np.abs(h) <= 1.0)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ShapeError):

@@ -6,6 +6,7 @@ import pytest
 
 from eegfpn import head
 from eegfpn.errors import ShapeError
+from eegfpn.ops import softmax
 
 LN2 = 0.6931471805599453
 CLAMPED_CE = 27.631021115928547  # -ln(1e-12)
@@ -14,15 +15,15 @@ CLAMPED_CE = 27.631021115928547  # -ln(1e-12)
 class TestLogits:
     def test_bias_passthrough(self):
         p = head.HeadParams(w=np.zeros((2, 4)), b=np.array([1.0, -1.0]))
-        np.testing.assert_array_equal(head.logits(np.ones(4), p), [1.0, -1.0])
+        np.testing.assert_array_equal(head.logits(np.ones((1, 4)), p), [[1.0, -1.0]])
 
     def test_zero_features_give_bias(self):
         p = head.init_head(6, seed=0)
-        np.testing.assert_array_equal(head.logits(np.zeros(6), p), p.b)
+        np.testing.assert_array_equal(head.logits(np.zeros((1, 6)), p), p.b[None])
 
     def test_linearity(self):
         p = head.init_head(5, seed=1)
-        x = np.random.default_rng(1).normal(size=5)
+        x = np.random.default_rng(1).normal(size=(1, 5))
         single = head.logits(x, p) - p.b
         double = head.logits(2.0 * x, p) - p.b
         np.testing.assert_allclose(double, 2.0 * single, atol=1e-12)
@@ -35,39 +36,42 @@ class TestLogits:
     def test_width_mismatch(self):
         p = head.init_head(3, seed=0)
         with pytest.raises(ShapeError):
-            head.logits(np.zeros(4), p)
+            head.logits(np.zeros((1, 4)), p)
 
 
 class TestPredict:
+    """The program predicts argmax(softmax(logits)) row by row
+    (`train.predict_rows`)."""
+
     def test_tie_goes_to_class_zero(self):
-        pred = head.predict(np.array([0.0, 0.0]))
-        np.testing.assert_array_equal(pred.probs, [0.5, 0.5])
-        assert pred.label == 0
+        probs = softmax(np.zeros((1, 2)), axis=-1)
+        np.testing.assert_array_equal(probs, [[0.5, 0.5]])
+        assert np.argmax(probs, axis=-1).tolist() == [0]
 
     def test_log3_example(self):
-        pred = head.predict(np.array([np.log(3.0), 0.0]))
-        np.testing.assert_allclose(pred.probs, [0.75, 0.25], atol=1e-15)
-        assert pred.label == 0
+        probs = softmax(np.array([[np.log(3.0), 0.0]]), axis=-1)
+        np.testing.assert_allclose(probs, [[0.75, 0.25]], atol=1e-15)
+        assert np.argmax(probs, axis=-1).tolist() == [0]
 
     def test_argmax_consistent_with_logits(self):
-        rng = np.random.default_rng(3)
-        for _ in range(300):
-            z = rng.normal(scale=5.0, size=2)
-            pred = head.predict(z)
-            assert pred.label == int(np.argmax(z))
-            assert pred.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        z = np.random.default_rng(3).normal(scale=5.0, size=(300, 2))
+        probs = softmax(z, axis=-1)
+        np.testing.assert_array_equal(np.argmax(probs, axis=-1), np.argmax(z, axis=-1))
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
 
 
 class TestCrossEntropy:
     def test_uniform_gives_ln2(self):
-        assert head.cross_entropy(np.array([0.5, 0.5]), 0) == pytest.approx(LN2, abs=1e-15)
-        assert head.cross_entropy(np.array([0.5, 0.5]), 1) == pytest.approx(LN2, abs=1e-15)
+        out = head.cross_entropy(np.array([[0.5, 0.5], [0.5, 0.5]]), [0, 1])
+        np.testing.assert_allclose(out, [LN2, LN2], atol=1e-15)
 
     def test_confident_correct_is_near_zero(self):
-        assert head.cross_entropy(np.array([1.0 - 1e-12, 1e-12]), 0) == pytest.approx(0.0, abs=1e-11)
+        out = head.cross_entropy(np.array([[1.0 - 1e-12, 1e-12]]), [0])
+        np.testing.assert_allclose(out, [0.0], atol=1e-11)
 
     def test_zero_probability_clamped(self):
-        assert head.cross_entropy(np.array([0.0, 1.0]), 0) == pytest.approx(CLAMPED_CE, rel=1e-12)
+        out = head.cross_entropy(np.array([[0.0, 1.0]]), [0])
+        np.testing.assert_allclose(out, [CLAMPED_CE], rtol=1e-12)
 
     def test_batched(self):
         probs = np.array([[0.5, 0.5], [0.25, 0.75]])

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from eegfpn import checkpoint, gradcheck
+from eegfpn import checkpoint, gradcheck, gru, head, ops, reducer
 from eegfpn.config import RunConfig
 from eegfpn.errors import FormatError, ShapeError
 from eegfpn.model import (
@@ -22,6 +22,26 @@ from eegfpn.model import (
 
 def toy():
     return gradcheck.toy_config()
+
+
+_BRANCH = gru.init_branch(2, 3, seed=0)
+_HEAD = head.init_head(3, seed=0)
+_KERNELS = np.ones((1, 1, 3, 3))
+
+# Each layer entry point called with one sample and no batch axis.
+UNBATCHED_CALLS = {
+    "conv2d": lambda: ops.conv2d(np.zeros((1, 4, 4)), _KERNELS, np.zeros(1)),
+    "conv2d_backward": lambda: ops.conv2d_backward(
+        np.zeros((1, 4, 4)), np.zeros((1, 4, 4)), _KERNELS),
+    "maxpool2d_with_argmax": lambda: ops.maxpool2d_with_argmax(np.zeros((1, 4, 4))),
+    "maxpool2d_backward": lambda: ops.maxpool2d_backward(
+        np.zeros((1, 2, 2)), np.zeros((1, 2, 2), dtype=np.int64), (1, 4, 4)),
+    "gru_step": lambda: gru.gru_step(np.zeros(2), np.zeros(3), _BRANCH),
+    "run_branch": lambda: gru.run_branch(np.zeros((5, 2)), _BRANCH),
+    "logits": lambda: head.logits(np.zeros(3), _HEAD),
+    "cross_entropy": lambda: head.cross_entropy(np.array([0.5, 0.5]), 0),
+    "reshape_to_map": lambda: reducer.reshape_to_map(np.zeros(6), 2, 3),
+}
 
 
 class TestAssembly:
@@ -53,6 +73,11 @@ class TestAssembly:
         params = init_model(toy(), 4, 16, seed=0)
         with pytest.raises(ShapeError):
             model_forward(np.zeros((2, 63)), 4, 16, params)
+
+    @pytest.mark.parametrize("entry", sorted(UNBATCHED_CALLS))
+    def test_layers_reject_unbatched_input(self, entry):
+        with pytest.raises(ShapeError):
+            UNBATCHED_CALLS[entry]()
 
     def test_loss_composition(self):
         config = toy()
@@ -173,7 +198,7 @@ class TestCheckpoint:
         params = init_model(toy(), 4, 16, seed=0)
         path = str(tmp_path / "model.cfpn")
         checkpoint.save_checkpoint(params, path)
-        segments = edit(list(checkpoint.read_segments(path).items()))
+        segments = edit(checkpoint.read_segments(path))
         chunks = [b"CFPN", struct.pack("<I", 1), struct.pack("<I", len(segments))]
         for name, arr in segments:
             enc = name.encode()
@@ -192,6 +217,11 @@ class TestCheckpoint:
     def test_reordered_segments_rejected(self, tmp_path):
         path = self._rewrite(tmp_path, lambda segs: segs[::-1])
         with pytest.raises(FormatError, match="head.b"):
+            checkpoint.load_checkpoint(path)
+
+    def test_repeated_segment_rejected(self, tmp_path):
+        path = self._rewrite(tmp_path, lambda segs: segs + [("ae.w1", segs[0][1] + 1.0)])
+        with pytest.raises(FormatError, match="ae.w1"):
             checkpoint.load_checkpoint(path)
 
     def test_trailing_garbage_rejected(self, tmp_path):

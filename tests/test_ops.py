@@ -75,13 +75,13 @@ class TestSoftmax:
 class TestConv2d:
     def test_one_by_one_identity_kernel(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(1, 5, 6))
+        x = rng.normal(size=(1, 1, 5, 6))
         k = np.ones((1, 1, 1, 1))
         b = np.zeros(1)
         np.testing.assert_allclose(ops.conv2d(x, k, b), x, atol=1e-12)
 
     def test_all_ones_kernel_counts_neighbourhood(self):
-        x = np.ones((1, 4, 4))
+        x = np.ones((1, 1, 4, 4))
         k = np.ones((1, 1, 3, 3))
         b = np.zeros(1)
         out = ops.conv2d(x, k, b)
@@ -90,16 +90,16 @@ class TestConv2d:
                          [6.0, 9.0, 9.0, 6.0],
                          [6.0, 9.0, 9.0, 6.0],
                          [4.0, 6.0, 6.0, 4.0]])
-        np.testing.assert_array_equal(out, want[None])
+        np.testing.assert_array_equal(out, want[None, None])
 
     def test_zero_kernel_returns_bias_map(self):
-        x = np.arange(16.0).reshape(1, 4, 4)
+        x = np.arange(16.0).reshape(1, 1, 4, 4)
         k = np.zeros((3, 1, 3, 3))
         b = np.array([1.0, -2.0, 0.5])
         out = ops.conv2d(x, k, b)
-        assert out.shape == (3, 4, 4)
+        assert out.shape == (1, 3, 4, 4)
         for c, v in enumerate(b):
-            np.testing.assert_array_equal(out[c], np.full((4, 4), v))
+            np.testing.assert_array_equal(out[0, c], np.full((4, 4), v))
 
     @pytest.mark.parametrize("ksize", [1, 3, 5])
     def test_same_padding_preserves_spatial_shape(self, ksize):
@@ -127,7 +127,7 @@ class TestConv2d:
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            ops.conv2d(np.zeros((2, 4, 4)), np.zeros((1, 3, 3, 3)), np.zeros(1))
+            ops.conv2d(np.zeros((1, 2, 4, 4)), np.zeros((1, 3, 3, 3)), np.zeros(1))
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(23)
@@ -156,44 +156,44 @@ class TestConv2d:
 
 class TestMaxPool:
     def test_two_by_two(self):
-        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        np.testing.assert_array_equal(ops.maxpool2d_with_argmax(x)[0], [[[4.0]]])
+        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
+        np.testing.assert_array_equal(ops.maxpool2d_with_argmax(x)[0], [[[[4.0]]]])
 
     def test_odd_dims_floor(self):
-        x = np.arange(35.0).reshape(1, 5, 7)
+        x = np.arange(35.0).reshape(1, 1, 5, 7)
         out = ops.maxpool2d_with_argmax(x)[0]
-        assert out.shape == (1, 2, 3)
-        np.testing.assert_array_equal(out[0], [[8.0, 10.0, 12.0], [22.0, 24.0, 26.0]])
+        assert out.shape == (1, 1, 2, 3)
+        np.testing.assert_array_equal(out[0, 0], [[8.0, 10.0, 12.0], [22.0, 24.0, 26.0]])
 
     def test_shape_property(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
             h = int(rng.integers(2, 64))
             w = int(rng.integers(2, 64))
-            x = rng.normal(size=(2, h, w))
-            assert ops.maxpool2d_with_argmax(x)[0].shape == (2, h // 2, w // 2)
+            x = rng.normal(size=(1, 2, h, w))
+            assert ops.maxpool2d_with_argmax(x)[0].shape == (1, 2, h // 2, w // 2)
 
     def test_ties_route_to_first_row_major(self):
-        x = np.full((1, 2, 2), 7.0)
+        x = np.full((1, 1, 2, 2), 7.0)
         out, argmax = ops.maxpool2d_with_argmax(x)
-        np.testing.assert_array_equal(out, [[[7.0]]])
-        grad = ops.maxpool2d_backward(np.ones((1, 1, 1)), argmax, x.shape)
-        np.testing.assert_array_equal(grad, [[[1.0, 0.0], [0.0, 0.0]]])
+        np.testing.assert_array_equal(out, [[[[7.0]]]])
+        grad = ops.maxpool2d_backward(np.ones((1, 1, 1, 1)), argmax, x.shape)
+        np.testing.assert_array_equal(grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
     def test_backward_scatters_to_max_position(self):
-        x = np.array([[[1.0, 9.0, 0.0, 0.0], [2.0, 3.0, 0.0, 8.0]]])
+        x = np.array([[[[1.0, 9.0, 0.0, 0.0], [2.0, 3.0, 0.0, 8.0]]]])
         out, argmax = ops.maxpool2d_with_argmax(x)
-        np.testing.assert_array_equal(out, [[[9.0, 8.0]]])
-        grad = ops.maxpool2d_backward(np.array([[[5.0, -2.0]]]), argmax, x.shape)
-        np.testing.assert_array_equal(grad, [[[0.0, 5.0, 0.0, 0.0], [0.0, 0.0, 0.0, -2.0]]])
+        np.testing.assert_array_equal(out, [[[[9.0, 8.0]]]])
+        grad = ops.maxpool2d_backward(np.array([[[[5.0, -2.0]]]]), argmax, x.shape)
+        np.testing.assert_array_equal(grad, [[[[0.0, 5.0, 0.0, 0.0], [0.0, 0.0, 0.0, -2.0]]]])
 
     def test_cropped_tail_receives_zero_grad(self):
-        x = np.arange(15.0).reshape(1, 3, 5)
+        x = np.arange(15.0).reshape(1, 1, 3, 5)
         out, argmax = ops.maxpool2d_with_argmax(x)
         grad = ops.maxpool2d_backward(np.ones_like(out), argmax, x.shape)
         assert grad.shape == x.shape
-        np.testing.assert_array_equal(grad[0, 2, :], np.zeros(5))
-        np.testing.assert_array_equal(grad[0, :, 4], np.zeros(3))
+        np.testing.assert_array_equal(grad[0, 0, 2, :], np.zeros(5))
+        np.testing.assert_array_equal(grad[0, 0, :, 4], np.zeros(3))
 
 
 class TestGradCheck:

@@ -33,11 +33,11 @@ class TestReshape:
         np.testing.assert_array_equal(maps[0, 0], x)
 
     def test_shape_example(self):
-        assert reducer.reshape_to_map(np.zeros(6), 2, 3).shape == (1, 1, 2, 3)
+        assert reducer.reshape_to_map(np.zeros((1, 6)), 2, 3).shape == (1, 1, 2, 3)
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
-            reducer.reshape_to_map(np.zeros(7), 2, 3)
+            reducer.reshape_to_map(np.zeros((1, 7)), 2, 3)
 
 
 class TestForward:

@@ -204,7 +204,7 @@ class TestLearningBehavior:
                                   sampling_rate=128.0, snr_db=20.0, seed=1)
         result = trainer.train(config, data)
         assert result.best_val_accuracy == 1.0
-        metrics = trainer.evaluate(result.params, data, config)
+        [(_, metrics)] = trainer.evaluate_by_subject(result.params, data, config)
         assert metrics.accuracy >= 0.98
         # Overfitting smoke bound: train and validation loss stay close.
         gap = abs(result.history.train_loss[-1] - result.history.val_loss[-1])
@@ -233,14 +233,14 @@ class TestEvaluation:
         params = init_model(config, config.ch, config.t, seed=0)
         params.head.w[...] = 0.0
         params.head.b[...] = 0.0
-        metrics = trainer.evaluate(params, data, config)
+        [(_, metrics)] = trainer.evaluate_by_subject(params, data, config)
         assert metrics.accuracy == pytest.approx(0.5)
 
     def test_checkpoint_width_mismatch_named(self):
         config = tiny_config()
         params = init_model(config, config.ch, 2 * config.t, seed=0)
         with pytest.raises(ShapeError, match="width"):
-            trainer.evaluate(params, tiny_dataset(), config)
+            trainer.evaluate_by_subject(params, tiny_dataset(), config)
 
     def test_by_subject_sorted_and_complete(self):
         config = tiny_config()
