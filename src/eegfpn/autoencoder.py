@@ -30,16 +30,10 @@ class AeDims:
     e2: int = 64
     z: int = 32
 
-    def validate(self):
-        if not (self.d >= 1 and self.e1 >= self.e2 >= self.z >= 1):
-            raise ConfigError(
-                f"widths must satisfy d >= 1 and e1 >= e2 >= z >= 1, got {self}"
-            )
-
 
 @dataclass
 class AeParams:
-    """Six dense layers; wN has shape (out_width, in_width)."""
+    """Six dense layers; ae_shapes gives their shapes."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -53,6 +47,17 @@ class AeParams:
     b5: np.ndarray
     w6: np.ndarray
     b6: np.ndarray
+
+
+def ae_shapes(dims: AeDims) -> AeParams:
+    """Layer N maps width N to width N+1 of d, e1, e2, z, e2, e1, d:
+    wN has shape (out_width, in_width), bN (out_width,)."""
+    widths = [dims.d, dims.e1, dims.e2, dims.z, dims.e2, dims.e1, dims.d]
+    shapes = {}
+    for n, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:]), start=1):
+        shapes[f"w{n}"] = (n_out, n_in)
+        shapes[f"b{n}"] = (n_out,)
+    return AeParams(**shapes)
 
 
 @dataclass
@@ -69,27 +74,6 @@ class AeTrace:
     dec2_skip: np.ndarray
     dec3: np.ndarray
     recon: np.ndarray
-
-
-def _glorot(rng, n_out, n_in):
-    bound = np.sqrt(6.0 / (n_in + n_out))
-    return rng.uniform(-bound, bound, size=(n_out, n_in))
-
-
-def init_ae(dims: AeDims, seed: int) -> AeParams:
-    """Glorot-uniform weights, zero biases, deterministic per seed."""
-    dims.validate()
-    rng = np.random.default_rng(seed)
-    widths = [dims.d, dims.e1, dims.e2, dims.z, dims.e2, dims.e1, dims.d]
-    weights, biases = [], []
-    for n_in, n_out in zip(widths[:-1], widths[1:]):
-        weights.append(_glorot(rng, n_out, n_in))
-        biases.append(np.zeros(n_out))
-    return AeParams(
-        w1=weights[0], b1=biases[0], w2=weights[1], b2=biases[1],
-        w3=weights[2], b3=biases[2], w4=weights[3], b4=biases[3],
-        w5=weights[4], b5=biases[4], w6=weights[5], b6=biases[5],
-    )
 
 
 def _dense(x, w, b):
@@ -204,9 +188,3 @@ def ae_backward(
         w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2, w3=d_w3, b3=d_b3,
         w4=d_w4, b4=d_b4, w5=d_w5, b5=d_b5, w6=d_w6, b6=d_b6,
     )
-
-
-def count_ae_params(dims: AeDims) -> int:
-    """Analytic count: six dense layers along the width pyramid."""
-    widths = [dims.d, dims.e1, dims.e2, dims.z, dims.e2, dims.e1, dims.d]
-    return sum(n_in * n_out + n_out for n_in, n_out in zip(widths[:-1], widths[1:]))

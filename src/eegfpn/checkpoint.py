@@ -3,8 +3,10 @@
 Layout (little-endian): magic "CFPN", u32 version=1, u32 segment count,
 then per segment: u8 name length, name bytes, u32 rank, u32 dims[rank],
 float64 payload. Segment order is the canonical ordering from
-model.param_segments; loading validates the names in order, so a
-truncated or reordered file, or a repeated segment, fails loudly.
+model.param_segments. Loading reads the model's sizes off a few segments
+and compares every segment's name and shape, in order, with the shapes
+those sizes declare, so a truncated or reordered file, a repeated
+segment or a segment of the wrong shape fails loudly.
 """
 
 import struct
@@ -13,7 +15,8 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import FormatError
-from .model import ModelParams, map_params, param_segments, params_template
+from .autoencoder import AeDims
+from .model import ModelParams, map_params, param_segments, param_shapes
 from .signals import atomic_write
 
 CHECKPOINT_MAGIC = b"CFPN"
@@ -86,23 +89,29 @@ def read_segments(path: str) -> list:
 
 def load_checkpoint(path: str) -> ModelParams:
     segments = read_segments(path)
-    got = [name for name, _ in segments]
-    # k as the file claims it; the comparison with the whole canonical
-    # list below rejects any other branch layout.
-    k = sum(name.endswith(".w_z") for name in got)
+    got = [(name, arr.shape) for name, arr in segments]
+    found = dict(got)
+
+    def size(name, axis):
+        # None where the segment is missing or of too low a rank; the
+        # comparison below then names that segment.
+        shape = found.get(name, ())
+        return shape[axis] if axis < len(shape) else None
+
+    # k as the file claims it; the comparison rejects any other layout.
+    k = sum(name.endswith(".w_z") for name, _ in got)
     if k < 1:
         raise FormatError(f"{path}: no GRU branch segments")
-    template = params_template(k)
-    want = [name for name, _ in param_segments(template)]
-    for index, (have, expected) in enumerate(zip_longest(got, want)):
+    dims = AeDims(
+        d=size("ae.w1", 1), e1=size("ae.w1", 0), e2=size("ae.w2", 0), z=size("ae.w3", 0)
+    )
+    want = param_shapes(
+        dims, size("nsdru.conv1_w", 0), size("gru0.w_z", 1), size("gru0.w_z", 0), k
+    )
+    for index, (have, expected) in enumerate(zip_longest(got, param_segments(want))):
         if have != expected:
             raise FormatError(
-                f"{path}: segment {index} is {have!r}, expected {expected!r}"
+                f"{path}: segment {index} is {have}, expected {expected}"
             )
     arrays = dict(segments)
-    return map_params(lambda name, _: arrays[name], template)
-
-
-def checkpoint_element_count(path: str) -> int:
-    """Total serialized element count, summed straight off the file."""
-    return sum(arr.size for _, arr in read_segments(path))
+    return map_params(lambda name, _: arrays[name], want)

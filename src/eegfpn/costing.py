@@ -1,10 +1,10 @@
 """Analytic parameter and FLOP accounting. The FLOP convention is stated
 in every report because published counts are meaningless without one."""
 
-from .autoencoder import AeDims, count_ae_params
+import math
+
 from .config import RunConfig
-from .gru import count_branch_params
-from .reducer import count_nsdru_params
+from .model import config_shapes, param_segments
 
 FLOP_CONVENTION = (
     "MAC = 2 FLOPs; dense in->out = 2*in*out + out; "
@@ -28,14 +28,10 @@ def gru_step_flops(f: int, h: int) -> int:
 
 
 def count_params(config: RunConfig) -> int:
-    """Closed-form trainable parameter count for a configuration."""
+    """Trainable parameter count, from the declared shapes."""
     config.validate()
-    f = config.ch // 2
-    total = count_ae_params(AeDims(d=config.d, e1=config.e1, e2=config.e2, z=config.z))
-    total += count_nsdru_params(config.nsdru_hidden_channels)
-    total += config.k * count_branch_params(f, config.h)
-    total += 2 * config.h + 2
-    return total
+    shapes = config_shapes(config, config.ch, config.t)
+    return sum(math.prod(shape) for _, shape in param_segments(shapes))
 
 
 def count_flops(config: RunConfig) -> int:

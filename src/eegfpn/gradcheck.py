@@ -11,6 +11,7 @@ from . import reducer
 from .config import RunConfig
 from .model import (
     init_model,
+    init_params,
     model_backward,
     model_forward,
     model_loss,
@@ -67,7 +68,7 @@ def _check(params, loss_of, grads_of, epsilon=1e-5) -> GradCheckReport:
 def check_autoencoder(seed: int, output_activation: str = "relu") -> GradCheckReport:
     """MSE reconstruction loss through encoder, skips and decoder."""
     rng = np.random.default_rng(seed)
-    params = ae.init_ae(ae.AeDims(d=12, e1=8, e2=6, z=3), seed)
+    params = init_params(ae.ae_shapes(ae.AeDims(d=12, e1=8, e2=6, z=3)), seed)
     _jitter(params, rng)
     x = rng.uniform(0.0, 1.0, size=(4, 12))
     target = rng.uniform(0.0, 1.0, size=(4, 12))
@@ -87,7 +88,7 @@ def check_autoencoder(seed: int, output_activation: str = "relu") -> GradCheckRe
 def check_nsdru(seed: int) -> GradCheckReport:
     """MSE against a fixed target after conv/pool/conv."""
     rng = np.random.default_rng(seed)
-    params = reducer.init_nsdru(hidden_channels=8, seed=seed)
+    params = init_params(reducer.nsdru_shapes(8), seed)
     _jitter(params, rng)
     x = rng.uniform(0.0, 1.0, size=(1, 1, 4, 6))
     target = rng.normal(size=(1, 1, 2, 3))
@@ -107,7 +108,7 @@ def check_nsdru(seed: int) -> GradCheckReport:
 def check_csie(seed: int) -> GradCheckReport:
     """MSE on the branch-averaged final state, T=3 steps."""
     rng = np.random.default_rng(seed)
-    params = gru.init_csie(input_size=2, hidden_size=4, k=2, seed=seed)
+    params = init_params(gru.csie_shapes(f=2, h=4, k=2), seed)
     sequence = rng.normal(size=(2, 3, 2))
     target = rng.normal(size=(2, 4))
 

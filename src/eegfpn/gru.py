@@ -24,7 +24,7 @@ from .ops import sigmoid, tanh
 
 @dataclass
 class GruBranchParams:
-    """One branch: per-gate input (h x f), recurrent (h x h), bias (h)."""
+    """One branch; branch_shapes gives its shapes."""
 
     w_z: np.ndarray
     u_z: np.ndarray
@@ -45,6 +45,12 @@ class GruBranchParams:
         return self.w_z.shape[0]
 
 
+def branch_shapes(f: int, h: int) -> GruBranchParams:
+    """Per gate: input weights w_* (h, f), recurrent u_* (h, h), bias b_* (h,)."""
+    gate = {"w": (h, f), "u": (h, h), "b": (h,)}
+    return GruBranchParams(**{fl.name: gate[fl.name[0]] for fl in fields(GruBranchParams)})
+
+
 @dataclass
 class CsieParams:
     branches: list
@@ -53,9 +59,9 @@ class CsieParams:
     def k(self) -> int:
         return len(self.branches)
 
-    @property
-    def hidden_size(self) -> int:
-        return self.branches[0].hidden_size
+
+def csie_shapes(f: int, h: int, k: int) -> CsieParams:
+    return CsieParams(branches=[branch_shapes(f, h) for _ in range(k)])
 
 
 @dataclass
@@ -73,39 +79,6 @@ class BranchTrace:
 class CsieTrace:
     branch_traces: list
     aggregate: np.ndarray
-
-
-def init_branch(input_size: int, hidden_size: int, seed: int) -> GruBranchParams:
-    """Glorot-uniform gate matrices, zero biases, deterministic per seed."""
-    rng = np.random.default_rng(seed)
-
-    def glorot(n_out, n_in):
-        bound = np.sqrt(6.0 / (n_in + n_out))
-        return rng.uniform(-bound, bound, size=(n_out, n_in))
-
-    kwargs = {}
-    for name in (f.name for f in fields(GruBranchParams)):
-        if name.startswith("w"):
-            kwargs[name] = glorot(hidden_size, input_size)
-        elif name.startswith("u"):
-            kwargs[name] = glorot(hidden_size, hidden_size)
-        else:
-            kwargs[name] = np.zeros(hidden_size)
-    return GruBranchParams(**kwargs)
-
-
-def init_csie(input_size: int, hidden_size: int, k: int, seed: int) -> CsieParams:
-    """k branches with distinct child seeds so they differentiate; equal
-    initialization would keep them identical forever by symmetry."""
-    if k < 1:
-        raise ShapeError(f"need at least one branch, got k={k}")
-    children = np.random.SeedSequence(seed).spawn(k)
-    return CsieParams(
-        branches=[
-            init_branch(input_size, hidden_size, child.generate_state(1)[0])
-            for child in children
-        ]
-    )
 
 
 def gru_step(x_t, h_prev, p: GruBranchParams):
@@ -245,8 +218,3 @@ def csie_backward(trace: CsieTrace, upstream: np.ndarray, p: CsieParams):
 def sequence_to_map_grad(d_sequence: np.ndarray) -> np.ndarray:
     """Undo map_to_sequence for the gradient: (n, T, f) -> (n, 1, f, T)."""
     return np.ascontiguousarray(d_sequence.transpose(0, 2, 1))[:, None, :, :]
-
-
-def count_branch_params(input_size: int, hidden_size: int) -> int:
-    f, h = input_size, hidden_size
-    return 3 * (h * f + h * h + h)

@@ -13,8 +13,13 @@ METRICS_CSV_HEADER = "subject_id,accuracy,precision,recall,f1"
 
 @dataclass
 class HeadParams:
-    w: np.ndarray  # (2, hidden)
-    b: np.ndarray  # (2,)
+    w: np.ndarray
+    b: np.ndarray
+
+
+def head_shapes(h: int) -> HeadParams:
+    """An affine map from h features to the class logits."""
+    return HeadParams(w=(N_CLASSES, h), b=(N_CLASSES,))
 
 
 @dataclass
@@ -27,15 +32,6 @@ class Metrics:
     precision: float
     recall: float
     f1: float
-
-
-def init_head(hidden_size: int, seed: int) -> HeadParams:
-    rng = np.random.default_rng(seed)
-    bound = np.sqrt(6.0 / (hidden_size + N_CLASSES))
-    return HeadParams(
-        w=rng.uniform(-bound, bound, size=(N_CLASSES, hidden_size)),
-        b=np.zeros(N_CLASSES),
-    )
 
 
 def logits(features: np.ndarray, p: HeadParams) -> np.ndarray:

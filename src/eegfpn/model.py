@@ -4,10 +4,12 @@ parallel-GRU ensemble -> two-class head.
 
 Also owns the canonical parameter ordering used by the checkpoint format,
 the optimizer and the gradient checks: one walk over the parameter
-dataclasses that serves gradients alike, since every backward pass returns
-its gradients in the same type as its parameters.
+dataclasses that serves gradients and declared shapes alike, since every
+backward pass returns its gradients, and every layer's `*_shapes` function
+its shapes, in the same type as its parameters.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -38,20 +40,55 @@ class ModelTrace:
     probs: np.ndarray
 
 
-def init_model(config: RunConfig, ch: int, t: int, seed=None) -> ModelParams:
-    """All randomness flows from one seed through spawned child streams."""
-    config.validate()
-    if seed is None:
-        seed = config.seed
-    children = np.random.SeedSequence(seed).spawn(4)
-    seeds = [int(c.generate_state(1)[0]) for c in children]
-    dims = ae.AeDims(d=ch * t, e1=config.e1, e2=config.e2, z=config.z)
+def param_shapes(dims: ae.AeDims, c: int, f: int, h: int, k: int) -> ModelParams:
+    """Every array's shape, for c reducer channels and k GRU branches of
+    f inputs and h hidden units."""
     return ModelParams(
-        ae=ae.init_ae(dims, seeds[0]),
-        nsdru=reducer.init_nsdru(config.nsdru_hidden_channels, seeds[1]),
-        csie=gru.init_csie(ch // 2, config.h, config.k, seeds[2]),
-        head=head_mod.init_head(config.h, seeds[3]),
+        ae=ae.ae_shapes(dims),
+        nsdru=reducer.nsdru_shapes(c),
+        csie=gru.csie_shapes(f, h, k),
+        head=head_mod.head_shapes(h),
     )
+
+
+def config_shapes(config: RunConfig, ch: int, t: int) -> ModelParams:
+    """The shapes of `config`'s model on a (ch, t) epoch grid."""
+    dims = ae.AeDims(d=ch * t, e1=config.e1, e2=config.e2, z=config.z)
+    return param_shapes(dims, config.nsdru_hidden_channels, ch // 2, config.h, config.k)
+
+
+def init_params(shapes, seed: int):
+    """Arrays of the shapes in `shapes` (a ModelParams or one stage's):
+    Glorot-uniform for rank >= 2, zeros for rank 1, drawn in map_params
+    order from one stream per stage. A model's stages, and an ensemble's
+    branches, draw from distinct child seeds; equal branches would stay
+    identical forever by symmetry."""
+    def each(parts):
+        children = np.random.SeedSequence(seed).spawn(len(parts))
+        return [init_params(part, int(child.generate_state(1)[0]))
+                for part, child in zip(parts, children)]
+
+    if isinstance(shapes, ModelParams):
+        return ModelParams(*each([getattr(shapes, f.name) for f in fields(shapes)]))
+    if isinstance(shapes, gru.CsieParams):
+        return gru.CsieParams(branches=each(shapes.branches))
+    rng = np.random.default_rng(seed)
+
+    def draw(_, shape):
+        if len(shape) < 2:
+            return np.zeros(shape)
+        fan_in = math.prod(shape[1:])
+        fan_out = shape[0] * math.prod(shape[2:])
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-bound, bound, size=shape)
+
+    return map_params(draw, shapes)
+
+
+def init_model(config: RunConfig, ch: int, t: int, seed=None) -> ModelParams:
+    """All randomness flows from one seed (the config's by default)."""
+    config.validate()
+    return init_params(config_shapes(config, ch, t), config.seed if seed is None else seed)
 
 
 def model_forward(
@@ -117,7 +154,7 @@ def map_params(fn, params, prefix=None):
     fn(name, array), called in serialization order.
 
     `params` is a ModelParams or one stage's parameters (AeParams,
-    NsdruParams, CsieParams, HeadParams), of values or of gradients. In a
+    NsdruParams, CsieParams, HeadParams), of values, gradients or shapes. In a
     ModelParams the segment names are `ae.*`, `nsdru.*`, `gru{i}.*` and
     `head.*`, stages and fields in dataclass order; a lone stage's arrays
     go by their field names (`gru{i}.*` for a CsieParams).
@@ -142,20 +179,6 @@ def param_segments(params):
     segments = []
     map_params(lambda name, arr: segments.append((name, arr)), params)
     return segments
-
-
-def params_template(k: int) -> ModelParams:
-    """The structure of a model with k GRU branches, every array None;
-    map_params over it yields the segment names a checkpoint must hold."""
-    def empty(cls):
-        return cls(**dict.fromkeys(f.name for f in fields(cls)))
-
-    return ModelParams(
-        ae=empty(ae.AeParams),
-        nsdru=empty(reducer.NsdruParams),
-        csie=gru.CsieParams(branches=[empty(gru.GruBranchParams) for _ in range(k)]),
-        head=empty(head_mod.HeadParams),
-    )
 
 
 def n_params(params) -> int:

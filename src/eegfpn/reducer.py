@@ -21,10 +21,15 @@ from .ops import (
 class NsdruParams:
     """Two 3x3 same-padding convolutions around the single pool."""
 
-    conv1_w: np.ndarray  # (hidden, 1, 3, 3)
-    conv1_b: np.ndarray  # (hidden,)
-    conv2_w: np.ndarray  # (1, hidden, 3, 3)
-    conv2_b: np.ndarray  # (1,)
+    conv1_w: np.ndarray
+    conv1_b: np.ndarray
+    conv2_w: np.ndarray
+    conv2_b: np.ndarray
+
+
+def nsdru_shapes(c: int) -> NsdruParams:
+    """One input map to c hidden channels, and back to one map."""
+    return NsdruParams(conv1_w=(c, 1, 3, 3), conv1_b=(c,), conv2_w=(1, c, 3, 3), conv2_b=(1,))
 
 
 @dataclass
@@ -34,26 +39,6 @@ class NsdruTrace:
     pooled: np.ndarray
     pool_argmax: np.ndarray
     act2: np.ndarray
-
-
-def init_nsdru(hidden_channels: int, seed: int) -> NsdruParams:
-    """Glorot-uniform kernels, zero biases, deterministic per seed."""
-    if hidden_channels < 1:
-        raise ShapeError(f"hidden_channels must be >= 1, got {hidden_channels}")
-    rng = np.random.default_rng(seed)
-
-    def glorot(shape):
-        fan_in = shape[1] * shape[2] * shape[3]
-        fan_out = shape[0] * shape[2] * shape[3]
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=shape)
-
-    return NsdruParams(
-        conv1_w=glorot((hidden_channels, 1, 3, 3)),
-        conv1_b=np.zeros(hidden_channels),
-        conv2_w=glorot((1, hidden_channels, 3, 3)),
-        conv2_b=np.zeros(1),
-    )
 
 
 def reshape_to_map(rows: np.ndarray, ch: int, t: int) -> np.ndarray:
@@ -91,7 +76,3 @@ def nsdru_backward(trace: NsdruTrace, upstream: np.ndarray, p: NsdruParams):
         conv1_w=d_conv1_w, conv1_b=d_conv1_b, conv2_w=d_conv2_w, conv2_b=d_conv2_b,
     )
     return grads, d_x
-
-
-def count_nsdru_params(hidden_channels: int) -> int:
-    return (hidden_channels * 9 + hidden_channels) + (hidden_channels * 9 + 1)

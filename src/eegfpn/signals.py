@@ -81,11 +81,6 @@ class BiquadCascade:
 
     sections: np.ndarray
 
-    def poles(self) -> np.ndarray:
-        """All denominator roots of the cascade."""
-        roots = [np.roots([1.0, a1, a2]) for _, _, _, a1, a2 in self.sections]
-        return np.concatenate(roots)
-
 
 # ---------------------------------------------------------------------------
 # Filter design and application
@@ -147,15 +142,6 @@ def design_bandpass(spec: FilterSpec, sampling_rate: float) -> BiquadCascade:
     gain = (1.0 / abs(response)) ** (1.0 / len(den_sections))
     sections = np.array([[gain, 0.0, -gain, a1, a2] for a1, a2 in den_sections])
     return BiquadCascade(sections=sections)
-
-
-def freq_response(cascade: BiquadCascade, freqs_hz, sampling_rate: float) -> np.ndarray:
-    """Complex cascade response at the given frequencies (Hz)."""
-    z = np.exp(2j * np.pi * np.asarray(freqs_hz, dtype=np.float64) / sampling_rate)
-    h = np.ones_like(z, dtype=np.complex128)
-    for b0, b1, b2, a1, a2 in cascade.sections:
-        h *= (b0 * z * z + b1 * z + b2) / (z * z + a1 * z + a2)
-    return h
 
 
 def _run_cascade(sections: np.ndarray, y: np.ndarray):
@@ -311,7 +297,12 @@ def read_epoch_file(path: str) -> Epoch:
             f"{path}: truncated payload at offset {_HEADER.size}: "
             f"expected {expected} bytes, found {len(payload)}"
         )
-    samples = np.frombuffer(payload[:expected], dtype="<f4").astype(np.float64)
+    if len(payload) > expected:
+        raise FormatError(
+            f"{path}: {len(payload) - expected} trailing bytes at offset "
+            f"{_HEADER.size + expected}, after the payload"
+        )
+    samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     return Epoch(
         samples=samples.reshape(ch, t),
         sampling_rate=float(fs),

@@ -14,12 +14,13 @@ import pytest
 
 from eegfpn import costing, gradcheck, gru, head, signals
 from eegfpn import train as trainer
-from eegfpn.autoencoder import AeDims, count_ae_params
-from eegfpn.checkpoint import checkpoint_element_count, save_checkpoint
+from eegfpn.autoencoder import AeDims, ae_shapes
+from eegfpn.checkpoint import read_segments, save_checkpoint
 from eegfpn.config import RunConfig
-from eegfpn.model import init_model, model_forward, n_params, pack_params
+from eegfpn.model import init_model, init_params, model_forward, n_params, pack_params
 from eegfpn.ops import softmax
-from eegfpn.signals import FilterSpec, apply_bandpass, design_bandpass, freq_response
+from eegfpn.signals import FilterSpec, apply_bandpass, design_bandpass
+from filter_response import freq_response
 
 
 def _report(number, name, ok, detail):
@@ -114,7 +115,7 @@ def test_criterion_4_gru_closed_forms():
     decay_ok = decay_err <= 1e-12
 
     rng = np.random.default_rng(4)
-    branch = gru.init_branch(3, 5, seed=4)
+    branch = init_params(gru.branch_shapes(3, 5), seed=4)
     bounds_ok = True
     h_prev = np.zeros((1, 5))
     for _ in range(10_000):
@@ -124,7 +125,7 @@ def test_criterion_4_gru_closed_forms():
             bounds_ok = False
             break
 
-    shared = gru.init_branch(2, 4, seed=7)
+    shared = init_params(gru.branch_shapes(2, 4), seed=7)
     params = gru.CsieParams(branches=[shared] * 5)
     seq = np.random.default_rng(7).normal(size=(3, 6, 2))
     solo = gru.run_branch(seq, shared).hiddens[:, -1]
@@ -198,18 +199,19 @@ def test_criterion_7_cost_accounting(tmp_path):
         path = str(tmp_path / f"m{i}.cfpn")
         save_checkpoint(params, path)
         analytic = costing.count_params(config)
-        serialized = checkpoint_element_count(path)
+        serialized = sum(arr.size for _, arr in read_segments(path))
         tallies.append((analytic, serialized))
         if analytic != serialized:
             agree = False
     dense_ok = costing.dense_flops(64, 128) == 16512
-    ae_ok = count_ae_params(AeDims(d=64)) == 37344
+    ae_count = n_params(init_params(ae_shapes(AeDims(d=64)), seed=0))
+    ae_ok = ae_count == 37344
     ok = agree and dense_ok and ae_ok
     _report(7, "cost accounting", ok,
             f"analytic vs serialized element counts {tallies} all equal: {agree}; "
             f"dense 64->128 = {costing.dense_flops(64, 128)} (= 16512): {dense_ok}; "
             f"autoencoder params at d=64 default widths = "
-            f"{count_ae_params(AeDims(d=64))} (= 37344): {ae_ok}")
+            f"{ae_count} (= 37344): {ae_ok}")
 
 
 def test_criterion_8_determinism(tmp_path):

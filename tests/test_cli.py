@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from eegfpn import cli, gradcheck, signals
+from eegfpn import checkpoint, cli, gradcheck, model, signals
+from eegfpn.config import parse_config
 from eegfpn.ops import GradCheckReport
 
 TINY_CONFIG = """
@@ -134,6 +135,17 @@ class TestTrainEval:
                          "--data", dataset, "--config", config_file,
                          "--out", str(out)])
         assert code == 0 and out.exists()
+
+    def test_eval_of_wrong_rank_checkpoint_exits_2(
+        self, tmp_path, dataset, config_file, capsys
+    ):
+        params = model.init_model(parse_config(config_file), 4, 32, seed=0)
+        params.ae.w1 = params.ae.w1.reshape(-1)
+        ckpt = str(tmp_path / "rank1.cfpn")
+        checkpoint.save_checkpoint(params, ckpt)
+        code = cli.main(["eval", "--ckpt", ckpt, "--data", dataset, "--config", config_file])
+        assert code == 2
+        assert "ae.w1" in capsys.readouterr().err
 
     def test_train_rerun_bitwise_identical(self, tmp_path, dataset, config_file):
         runs = []

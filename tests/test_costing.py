@@ -33,6 +33,11 @@ class TestParamCount:
         params = init_model(config, config.ch, config.t, seed=0)
         assert costing.count_params(config) == n_params(params)
 
+    def test_odd_grid_matches_runtime_tally(self):
+        config = RunConfig(ch=5, t=17, k=1, nsdru_hidden_channels=1)
+        params = init_model(config, config.ch, config.t, seed=0)
+        assert costing.count_params(config) == n_params(params)
+
     def test_default_widths_hand_tally(self):
         config = RunConfig(ch=8, t=16)
         d = 128

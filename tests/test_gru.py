@@ -6,11 +6,19 @@ import pytest
 
 from eegfpn import gradcheck, gru
 from eegfpn.errors import ShapeError
-from eegfpn.model import pack_params, param_segments
+from eegfpn.model import init_params, pack_params, param_segments
+
+
+def init_branch(f: int, h: int, seed: int) -> gru.GruBranchParams:
+    return init_params(gru.branch_shapes(f, h), seed)
+
+
+def init_csie(f: int, h: int, k: int, seed: int) -> gru.CsieParams:
+    return init_params(gru.csie_shapes(f, h, k), seed)
 
 
 def zero_branch(f=2, h=3) -> gru.GruBranchParams:
-    p = gru.init_branch(f, h, seed=0)
+    p = init_branch(f, h, seed=0)
     for _, arr in param_segments(p):
         arr[...] = 0.0
     return p
@@ -31,7 +39,7 @@ class TestStep:
         np.testing.assert_array_equal(h, 0.0)
 
     def test_saturated_update_gate_selects_candidate(self):
-        p = gru.init_branch(2, 3, seed=1)
+        p = init_branch(2, 3, seed=1)
         p.b_z[...] = 50.0  # update gate pinned at ~1
         x = np.array([[0.3, -0.4]])
         h_prev = np.array([[0.9, -0.2, 0.1]])
@@ -49,7 +57,7 @@ class TestStep:
 
     def test_gate_bounds_random(self):
         rng = np.random.default_rng(11)
-        p = gru.init_branch(3, 4, seed=11)
+        p = init_branch(3, 4, seed=11)
         for _ in range(200):
             x = rng.normal(scale=3.0, size=(1, 3))
             h_prev = rng.uniform(-1.0, 1.0, size=(1, 4))
@@ -72,7 +80,7 @@ class TestBranch:
             np.testing.assert_array_equal(h, 0.5 ** steps)
 
     def test_single_step_equals_gru_step(self):
-        p = gru.init_branch(2, 3, seed=4)
+        p = init_branch(2, 3, seed=4)
         x = np.random.default_rng(4).normal(size=(1, 1, 2))
         trace = gru.run_branch(x, p)
         _, _, _, h = gru.gru_step(x[:, 0], np.zeros((1, 3)), p)
@@ -80,7 +88,7 @@ class TestBranch:
 
     def test_hidden_bound_preserved(self):
         rng = np.random.default_rng(6)
-        p = gru.init_branch(2, 4, seed=6)
+        p = init_branch(2, 4, seed=6)
         seq = rng.normal(scale=5.0, size=(3, 30, 2))
         h = np.repeat(rng.uniform(-1, 1, size=(1, 4)), 3, axis=0)
         for t in range(30):
@@ -126,7 +134,7 @@ class TestAggregate:
 
 class TestEnsemble:
     def test_identical_branches_average_to_branch_state(self):
-        branch = gru.init_branch(2, 4, seed=5)
+        branch = init_branch(2, 4, seed=5)
         params = gru.CsieParams(branches=[branch, branch, branch])
         seq = np.random.default_rng(5).normal(size=(2, 6, 2))
         trace = gru.csie_forward(seq, params)
@@ -134,7 +142,7 @@ class TestEnsemble:
         np.testing.assert_array_equal(trace.aggregate, solo.hiddens[:, -1])
 
     def test_single_branch(self):
-        params = gru.init_csie(2, 4, k=1, seed=3)
+        params = init_csie(2, 4, k=1, seed=3)
         seq = np.random.default_rng(3).normal(size=(1, 5, 2))
         trace = gru.csie_forward(seq, params)
         solo = gru.run_branch(seq, params.branches[0])
@@ -146,7 +154,7 @@ class TestEnsemble:
         np.testing.assert_array_equal(trace.aggregate, 0.0)
 
     def test_branches_initialized_distinct(self):
-        params = gru.init_csie(3, 4, k=6, seed=0)
+        params = init_csie(3, 4, k=6, seed=0)
         first = params.branches[0].w_z
         assert any(
             not np.array_equal(first, b.w_z) for b in params.branches[1:]
@@ -170,7 +178,7 @@ class TestBackward:
         assert report.max_relative_error < 1e-4
 
     def test_identical_branches_get_identical_gradients(self):
-        branch = gru.init_branch(2, 4, seed=7)
+        branch = init_branch(2, 4, seed=7)
         params = gru.CsieParams(branches=[branch, branch])
         seq = np.random.default_rng(7).normal(size=(2, 5, 2))
         trace = gru.csie_forward(seq, params)
@@ -180,7 +188,7 @@ class TestBackward:
         np.testing.assert_array_equal(pack_params(first), pack_params(second))
 
     def test_zero_upstream_zero_grads(self):
-        params = gru.init_csie(2, 4, k=2, seed=8)
+        params = init_csie(2, 4, k=2, seed=8)
         seq = np.random.default_rng(8).normal(size=(1, 4, 2))
         trace = gru.csie_forward(seq, params)
         grads, d_seq = gru.csie_backward(trace, np.zeros((1, 4)), params)
@@ -189,6 +197,5 @@ class TestBackward:
             np.testing.assert_array_equal(g, 0.0)
 
     def test_param_count(self):
-        assert gru.count_branch_params(2, 4) == 84
-        p = gru.init_branch(2, 4, seed=0)
+        p = init_branch(2, 4, seed=0)
         assert sum(a.size for _, a in param_segments(p)) == 84

@@ -6,6 +6,7 @@ import pytest
 
 from eegfpn import head
 from eegfpn.errors import ShapeError
+from eegfpn.model import init_params
 from eegfpn.ops import softmax
 
 LN2 = 0.6931471805599453
@@ -18,23 +19,23 @@ class TestLogits:
         np.testing.assert_array_equal(head.logits(np.ones((1, 4)), p), [[1.0, -1.0]])
 
     def test_zero_features_give_bias(self):
-        p = head.init_head(6, seed=0)
+        p = init_params(head.head_shapes(6), seed=0)
         np.testing.assert_array_equal(head.logits(np.zeros((1, 6)), p), p.b[None])
 
     def test_linearity(self):
-        p = head.init_head(5, seed=1)
+        p = init_params(head.head_shapes(5), seed=1)
         x = np.random.default_rng(1).normal(size=(1, 5))
         single = head.logits(x, p) - p.b
         double = head.logits(2.0 * x, p) - p.b
         np.testing.assert_allclose(double, 2.0 * single, atol=1e-12)
 
     def test_batch_shape(self):
-        p = head.init_head(3, seed=2)
+        p = init_params(head.head_shapes(3), seed=2)
         out = head.logits(np.zeros((7, 3)), p)
         assert out.shape == (7, 2)
 
     def test_width_mismatch(self):
-        p = head.init_head(3, seed=0)
+        p = init_params(head.head_shapes(3), seed=0)
         with pytest.raises(ShapeError):
             head.logits(np.zeros((1, 4)), p)
 

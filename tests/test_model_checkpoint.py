@@ -1,5 +1,6 @@
 """Pipeline assembly and the checkpoint format."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -10,6 +11,7 @@ from eegfpn.config import RunConfig
 from eegfpn.errors import FormatError, ShapeError
 from eegfpn.model import (
     init_model,
+    init_params,
     model_backward,
     model_forward,
     model_loss,
@@ -24,8 +26,8 @@ def toy():
     return gradcheck.toy_config()
 
 
-_BRANCH = gru.init_branch(2, 3, seed=0)
-_HEAD = head.init_head(3, seed=0)
+_BRANCH = init_params(gru.branch_shapes(2, 3), seed=0)
+_HEAD = init_params(head.head_shapes(3), seed=0)
 _KERNELS = np.ones((1, 1, 3, 3))
 
 # Each layer entry point called with one sample and no batch axis.
@@ -50,6 +52,16 @@ class TestAssembly:
         a = init_model(config, 4, 16, seed=9)
         b = init_model(config, 4, 16, seed=9)
         np.testing.assert_array_equal(pack_params(a), pack_params(b))
+
+    @pytest.mark.parametrize("config,digest", [
+        (RunConfig(), "3a4446176762974d5a5393a1207bd03bf3806bcd14a9527a4cb5d10ae0bc409e"),
+        (toy(), "d518709b2c3716fad8860e06fb7830e5c3874758fc0e0094b1262f07e60104d1"),
+    ], ids=["default", "toy"])
+    def test_init_pinned(self, config, digest):
+        # Any change to the initialization rule, the seeding or the draw
+        # order changes these digests; update them only on purpose.
+        params = init_model(config, config.ch, config.t, seed=0)
+        assert hashlib.sha256(pack_params(params).tobytes()).hexdigest() == digest
 
     def test_components_get_distinct_streams(self):
         params = init_model(toy(), 4, 16, seed=9)
@@ -164,7 +176,7 @@ class TestCheckpoint:
         params = init_model(toy(), 4, 16, seed=6)
         path = str(tmp_path / "model.cfpn")
         checkpoint.save_checkpoint(params, path)
-        assert checkpoint.checkpoint_element_count(path) == n_params(params)
+        assert sum(arr.size for _, arr in checkpoint.read_segments(path)) == n_params(params)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.cfpn"
@@ -222,6 +234,18 @@ class TestCheckpoint:
     def test_repeated_segment_rejected(self, tmp_path):
         path = self._rewrite(tmp_path, lambda segs: segs + [("ae.w1", segs[0][1] + 1.0)])
         with pytest.raises(FormatError, match="ae.w1"):
+            checkpoint.load_checkpoint(path)
+
+    @pytest.mark.parametrize("name,arr", [
+        ("head.b", np.array([0.7])),
+        ("gru1.u_z", np.zeros((toy().h - 1, toy().h - 1))),
+        ("ae.w1", np.zeros(64)),
+    ], ids=["bias", "recurrent", "rank"])
+    def test_wrong_shape_rejected(self, tmp_path, name, arr):
+        path = self._rewrite(
+            tmp_path, lambda segs: [(n, arr if n == name else a) for n, a in segs]
+        )
+        with pytest.raises(FormatError, match=rf"'{name}', \({arr.shape[0]},"):
             checkpoint.load_checkpoint(path)
 
     def test_trailing_garbage_rejected(self, tmp_path):

@@ -5,10 +5,15 @@ import pytest
 
 from eegfpn import gradcheck, reducer
 from eegfpn.errors import ShapeError
+from eegfpn.model import init_params
+
+
+def init_nsdru(hidden: int, seed: int) -> reducer.NsdruParams:
+    return init_params(reducer.nsdru_shapes(hidden), seed)
 
 
 def zeroed(hidden=8):
-    p = reducer.init_nsdru(hidden, seed=0)
+    p = init_nsdru(hidden, seed=0)
     p.conv1_w[...] = 0.0
     p.conv1_b[...] = 0.0
     p.conv2_w[...] = 0.0
@@ -51,7 +56,7 @@ class TestForward:
 
     def test_halving_property(self):
         rng = np.random.default_rng(7)
-        p = reducer.init_nsdru(3, seed=7)
+        p = init_nsdru(3, seed=7)
         for _ in range(25):
             ch = int(rng.integers(2, 65))
             t = int(rng.integers(2, 65))
@@ -63,7 +68,7 @@ class TestForward:
         np.testing.assert_array_equal(reducer.nsdru_forward(x, zeroed()).act2, 0.0)
 
     def test_relu_outputs_nonnegative(self):
-        p = reducer.init_nsdru(4, seed=3)
+        p = init_nsdru(4, seed=3)
         trace = reducer.nsdru_forward(np.random.default_rng(3).normal(size=(2, 1, 8, 10)), p)
         assert np.all(trace.act1 >= 0.0)
         assert np.all(trace.act2 >= 0.0)
@@ -97,7 +102,7 @@ class TestBackward:
         assert report.max_relative_error < 1e-4
 
     def test_zero_upstream_zero_grads(self):
-        p = reducer.init_nsdru(4, seed=2)
+        p = init_nsdru(4, seed=2)
         trace = reducer.nsdru_forward(np.random.default_rng(2).normal(size=(1, 1, 4, 6)), p)
         g, d_x = reducer.nsdru_backward(trace, np.zeros_like(trace.act2), p)
         np.testing.assert_array_equal(g.conv1_w, 0.0)
@@ -118,7 +123,6 @@ class TestBackward:
         assert mask[1, 0]
 
     def test_param_count(self):
-        assert reducer.count_nsdru_params(8) == 153
-        p = reducer.init_nsdru(8, seed=0)
+        p = init_nsdru(8, seed=0)
         tally = p.conv1_w.size + p.conv1_b.size + p.conv2_w.size + p.conv2_b.size
         assert tally == 153

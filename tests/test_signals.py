@@ -8,6 +8,7 @@ import scipy.signal
 from eegfpn import signals
 from eegfpn.errors import ConfigError, FormatError
 from eegfpn.signals import BiquadCascade, Epoch, FilterSpec
+from filter_response import freq_response, poles
 
 
 class TestFilterDesign:
@@ -23,7 +24,7 @@ class TestFilterDesign:
             order // 2, [f_low, f_high], btype="bandpass", fs=fs, output="sos"
         )
         freqs = np.linspace(0.05, fs / 2 * 0.98, 512)
-        ours = np.abs(signals.freq_response(cascade, freqs, fs))
+        ours = np.abs(freq_response(cascade, freqs, fs))
         _, h = scipy.signal.sosfreqz(sos, worN=2 * np.pi * freqs / fs)
         np.testing.assert_allclose(ours, np.abs(h), atol=1e-8)
 
@@ -31,7 +32,7 @@ class TestFilterDesign:
         fs = 500.0
         cascade = signals.design_bandpass(FilterSpec(0.5, 30.0, 4), fs)
         sos = scipy.signal.butter(2, [0.5, 30.0], btype="bandpass", fs=fs, output="sos")
-        ours = np.sort(np.abs(cascade.poles()))
+        ours = np.sort(np.abs(poles(cascade)))
         theirs = np.sort(np.abs(np.concatenate([np.roots(s[3:]) for s in sos])))
         np.testing.assert_allclose(ours, theirs, atol=1e-9)
         assert ours.max() < 1.0
@@ -39,7 +40,7 @@ class TestFilterDesign:
     def test_section_count_and_order(self):
         cascade = signals.design_bandpass(FilterSpec(0.5, 30.0, 4), 500.0)
         assert cascade.sections.shape == (2, 5)
-        assert len(cascade.poles()) == 4
+        assert len(poles(cascade)) == 4
         cascade6 = signals.design_bandpass(FilterSpec(0.5, 30.0, 6), 500.0)
         assert cascade6.sections.shape == (3, 5)
 
@@ -52,7 +53,7 @@ class TestFilterDesign:
         wh = 2 * fs * np.tan(np.pi * spec.f_high / fs)
         theta = 2 * np.arctan(np.sqrt(wl * wh) / (2 * fs))
         fc = theta * fs / (2 * np.pi)
-        mag = np.abs(signals.freq_response(cascade, [fc], fs))[0]
+        mag = np.abs(freq_response(cascade, [fc], fs))[0]
         assert mag == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_bad_specs(self):
@@ -81,7 +82,7 @@ class TestZeroPhaseFiltering:
     def test_passband_response_flat(self):
         # Flatness is a property of the designed response; the applied
         # filter doubles the attenuation (forward + reverse pass).
-        mags = np.abs(signals.freq_response(self.cascade, [5.0, 10.0, 15.0, 20.0], self.fs))
+        mags = np.abs(freq_response(self.cascade, [5.0, 10.0, 15.0, 20.0], self.fs))
         assert np.all(mags >= 0.9) and np.all(mags <= 1.05), mags
 
     def test_passband_tone_rms_preserved(self):
@@ -248,6 +249,15 @@ class TestEpochFiles:
         (tmp_path / "cut.eeg").write_bytes(blob[:40])
         with pytest.raises(FormatError, match="offset"):
             signals.read_epoch_file(str(tmp_path / "cut.eeg"))
+
+    def test_trailing_bytes_rejected_with_offset(self, tmp_path):
+        eps = signals.generate_synthetic(1, 4, 16, 100.0, 5.0, seed=0)
+        path = str(tmp_path / "t.eeg")
+        signals.write_epoch_file(eps[0], path)
+        blob = open(path, "rb").read()
+        (tmp_path / "long.eeg").write_bytes(blob + b"\x00" * 64)
+        with pytest.raises(FormatError, match=f"64 trailing bytes at offset {len(blob)}"):
+            signals.read_epoch_file(str(tmp_path / "long.eeg"))
 
     def test_long_subject_id_rejected(self, tmp_path):
         epoch = Epoch(
