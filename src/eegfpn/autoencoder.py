@@ -52,6 +52,10 @@ class AeParams:
 def ae_shapes(dims: AeDims) -> AeParams:
     """Layer N maps width N to width N+1 of d, e1, e2, z, e2, e1, d:
     wN has shape (out_width, in_width), bN (out_width,)."""
+    if not (dims.d >= 1 and dims.e1 >= dims.e2 >= dims.z >= 1):
+        raise ConfigError(
+            f"widths must satisfy d >= 1 and e1 >= e2 >= z >= 1, got {dims}"
+        )
     widths = [dims.d, dims.e1, dims.e2, dims.z, dims.e2, dims.e1, dims.d]
     shapes = {}
     for n, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:]), start=1):

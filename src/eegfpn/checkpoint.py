@@ -14,7 +14,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .autoencoder import AeDims
 from .model import ModelParams, map_params, param_segments, param_shapes
 from .signals import atomic_write
@@ -102,12 +102,20 @@ def load_checkpoint(path: str) -> ModelParams:
     k = sum(name.endswith(".w_z") for name, _ in got)
     if k < 1:
         raise FormatError(f"{path}: no GRU branch segments")
+    # The autoencoder widths are checked as they are read, so they must
+    # come from matrices.
+    for name in ("ae.w1", "ae.w2", "ae.w3"):
+        if len(found.get(name, ())) != 2:
+            raise FormatError(f"{path}: segment {(name, found.get(name))} is not a matrix")
     dims = AeDims(
         d=size("ae.w1", 1), e1=size("ae.w1", 0), e2=size("ae.w2", 0), z=size("ae.w3", 0)
     )
-    want = param_shapes(
-        dims, size("nsdru.conv1_w", 0), size("gru0.w_z", 1), size("gru0.w_z", 0), k
-    )
+    try:
+        want = param_shapes(
+            dims, size("nsdru.conv1_w", 0), size("gru0.w_z", 1), size("gru0.w_z", 0), k
+        )
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     for index, (have, expected) in enumerate(zip_longest(got, param_segments(want))):
         if have != expected:
             raise FormatError(

@@ -47,6 +47,10 @@ class TestInit:
         assert p.w5.shape == (8, 6)
         assert p.w6.shape == (10, 8)
 
+    def test_rejects_bad_widths(self):
+        with pytest.raises(ConfigError):
+            init_ae(ae.AeDims(d=10, e1=4, e2=6, z=3), seed=0)
+
 
 class TestForward:
     def test_default_width_chain(self):

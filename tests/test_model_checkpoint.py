@@ -248,6 +248,16 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=rf"'{name}', \({arr.shape[0]},"):
             checkpoint.load_checkpoint(path)
 
+    def test_bad_widths_rejected(self, tmp_path):
+        # A bottleneck wider than the layer before it breaks e2 >= z.
+        e2 = toy().e2
+        path = self._rewrite(
+            tmp_path,
+            lambda segs: [(n, np.zeros((e2 + 1, e2)) if n == "ae.w3" else a) for n, a in segs],
+        )
+        with pytest.raises(FormatError, match="widths must satisfy"):
+            checkpoint.load_checkpoint(path)
+
     def test_trailing_garbage_rejected(self, tmp_path):
         params = init_model(toy(), 4, 16, seed=0)
         path = str(tmp_path / "model.cfpn")
