@@ -88,23 +88,24 @@ def _dense(x, w, b):
     return x @ w.T + b
 
 
-def encode(x: np.ndarray, p: AeParams):
-    """Three ReLU stages narrowing (n, d) to (n, e1), (n, e2), (n, z)."""
+def _check_activation(output_activation: str):
+    if output_activation not in OUTPUT_ACTIVATIONS:
+        raise ConfigError(
+            f"output_activation must be one of {OUTPUT_ACTIVATIONS}, got {output_activation!r}"
+        )
+
+
+def ae_forward(x: np.ndarray, p: AeParams, output_activation: str = "relu") -> AeTrace:
+    """Three ReLU stages narrow (n, d) to (n, e1), (n, e2), (n, z); the
+    decoder widens the bottleneck back out, adding encoder skips at each
+    width."""
+    _check_activation(output_activation)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"encoder expects a 2-D batch, got shape {x.shape}")
     enc1 = relu(_dense(x, p.w1, p.b1))
     enc2 = relu(_dense(enc1, p.w2, p.b2))
     latent = relu(_dense(enc2, p.w3, p.b3))
-    return enc1, enc2, latent
-
-
-def decode(enc1, enc2, latent, p: AeParams, output_activation: str = "relu"):
-    """Widen the bottleneck back out, adding encoder skips at each width."""
-    if output_activation not in OUTPUT_ACTIVATIONS:
-        raise ConfigError(
-            f"output_activation must be one of {OUTPUT_ACTIVATIONS}, got {output_activation!r}"
-        )
     dec1 = relu(_dense(latent, p.w4, p.b4))
     if dec1.shape != enc2.shape:
         raise ShapeError(f"skip add needs {enc2.shape}, decoder produced {dec1.shape}")
@@ -115,19 +116,10 @@ def decode(enc1, enc2, latent, p: AeParams, output_activation: str = "relu"):
     dec2_skip = dec2 + enc1
     pre = _dense(dec2_skip, p.w6, p.b6)
     dec3 = relu(pre) if output_activation == "relu" else pre
-    return dec1, dec1_skip, dec2, dec2_skip, dec3, sigmoid(dec3)
-
-
-def ae_forward(x: np.ndarray, p: AeParams, output_activation: str = "relu") -> AeTrace:
-    enc1, enc2, latent = encode(x, p)
-    dec1, dec1_skip, dec2, dec2_skip, dec3, recon = decode(
-        enc1, enc2, latent, p, output_activation
-    )
     return AeTrace(
-        x=np.asarray(x, dtype=np.float64),
-        enc1=enc1, enc2=enc2, latent=latent,
+        x=x, enc1=enc1, enc2=enc2, latent=latent,
         dec1=dec1, dec1_skip=dec1_skip, dec2=dec2, dec2_skip=dec2_skip,
-        dec3=dec3, recon=recon,
+        dec3=dec3, recon=sigmoid(dec3),
     )
 
 

@@ -6,7 +6,8 @@ float64 payload. Segment order is the canonical ordering from
 model.param_segments. Loading reads the model's sizes off a few segments
 and compares every segment's name and shape, in order, with the shapes
 those sizes declare, so a truncated or reordered file, a repeated
-segment or a segment of the wrong shape fails loudly.
+segment or a segment of the wrong shape fails loudly; so does a NaN or
+infinite parameter.
 """
 
 import struct
@@ -121,5 +122,8 @@ def load_checkpoint(path: str) -> ModelParams:
             raise FormatError(
                 f"{path}: segment {index} is {have}, expected {expected}"
             )
+    for name, arr in segments:
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: segment {name!r} holds a NaN or infinite value")
     arrays = dict(segments)
     return map_params(lambda name, _: arrays[name], want)

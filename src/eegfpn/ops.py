@@ -120,39 +120,33 @@ def conv2d_backward(upstream, x, kernels):
     return d_x, d_k, d_b
 
 
-def maxpool2d_with_argmax(x):
-    """2x2 stride-2 max pooling (trailing odd row/column dropped); returns
-    the pooled output and the row-major in-window argmax used by backward."""
-    x4 = _as_nchw(x)
-    n, c, h, w = x4.shape
+def _pool_cells(x4):
+    """The four cells of every 2x2 stride-2 window, row-major, as strided
+    views of `x4`; a trailing odd row or column belongs to no window."""
+    h, w = x4.shape[2:]
     if h < 2 or w < 2:
         raise ShapeError(f"maxpool2d requires H>=2 and W>=2, got ({h},{w})")
     h2, w2 = h // 2, w // 2
-    windows = (
-        x4[:, :, :2 * h2, :2 * w2]
-        .reshape(n, c, h2, 2, w2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h2, w2, 4)
-    )
-    # np.argmax picks the first maximum, i.e. the row-major tie-break.
-    idx = windows.argmax(axis=-1)
-    pooled = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-    return pooled, idx
+    return [x4[:, :, i:2 * h2:2, j:2 * w2:2] for i in (0, 1) for j in (0, 1)]
 
 
-def maxpool2d_backward(upstream, argmax, input_shape) -> np.ndarray:
-    """Route each pooled gradient to the argmax cell of its window."""
+def maxpool2d(x) -> np.ndarray:
+    """2x2 stride-2 max pooling (trailing odd row/column dropped)."""
+    a, b, c, d = _pool_cells(_as_nchw(x))
+    return np.maximum(np.maximum(a, b), np.maximum(c, d))
+
+
+def maxpool2d_backward(upstream, x, pooled) -> np.ndarray:
+    """Route each pooled gradient to the first cell of its window, in
+    row-major order, that holds the window's max (np.argmax's tie-break)."""
     up4 = _as_nchw(upstream)
-    n, c, h, w = input_shape
-    h2, w2 = h // 2, w // 2
-    flat = np.zeros((n, c, h2, w2, 4))
-    np.put_along_axis(flat, argmax[..., None], up4[..., None], axis=-1)
-    d_x = np.zeros((n, c, h, w))
-    d_x[:, :, :2 * h2, :2 * w2] = (
-        flat.reshape(n, c, h2, w2, 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, 2 * h2, 2 * w2)
-    )
+    x4 = _as_nchw(x)
+    d_x = np.zeros(x4.shape)
+    unplaced = np.ones(up4.shape, dtype=bool)
+    for cell, d_cell in zip(_pool_cells(x4), _pool_cells(d_x)):
+        hit = cell == pooled
+        np.copyto(d_cell, up4, where=unplaced & hit)
+        unplaced &= ~hit
     return d_x
 
 

@@ -10,8 +10,8 @@ from .errors import ShapeError
 from .ops import (
     conv2d,
     conv2d_backward,
+    maxpool2d,
     maxpool2d_backward,
-    maxpool2d_with_argmax,
     relu,
     relu_grad,
 )
@@ -37,7 +37,6 @@ class NsdruTrace:
     x: np.ndarray
     act1: np.ndarray
     pooled: np.ndarray
-    pool_argmax: np.ndarray
     act2: np.ndarray
 
 
@@ -59,17 +58,17 @@ def nsdru_forward(x: np.ndarray, p: NsdruParams) -> NsdruTrace:
     if x.shape[2] < 2 or x.shape[3] < 2:
         raise ShapeError(f"grid {x.shape[2:]} too small to pool (need >= 2x2)")
     act1 = relu(conv2d(x, p.conv1_w, p.conv1_b))
-    pooled, argmax = maxpool2d_with_argmax(act1)
+    pooled = maxpool2d(act1)
     act2 = relu(conv2d(pooled, p.conv2_w, p.conv2_b))
-    return NsdruTrace(x=x, act1=act1, pooled=pooled, pool_argmax=argmax, act2=act2)
+    return NsdruTrace(x=x, act1=act1, pooled=pooled, act2=act2)
 
 
 def nsdru_backward(trace: NsdruTrace, upstream: np.ndarray, p: NsdruParams):
-    """Exact reverse pass; each pool window's gradient lands on its argmax.
+    """Exact reverse pass; each pool window's gradient lands on its first max.
     Returns (NsdruParams of gradients, d_x)."""
     d_act2 = relu_grad(trace.act2, upstream)
     d_pooled, d_conv2_w, d_conv2_b = conv2d_backward(d_act2, trace.pooled, p.conv2_w)
-    d_act1 = maxpool2d_backward(d_pooled, trace.pool_argmax, trace.act1.shape)
+    d_act1 = maxpool2d_backward(d_pooled, trace.act1, trace.pooled)
     d_act1 = relu_grad(trace.act1, d_act1)
     d_x, d_conv1_w, d_conv1_b = conv2d_backward(d_act1, trace.x, p.conv1_w)
     grads = NsdruParams(

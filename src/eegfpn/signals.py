@@ -3,8 +3,9 @@ data generation, and the binary epoch file format.
 
 The bandpass realization is a Butterworth design obtained by bilinear
 transform with frequency prewarping, factored into stable second-order
-sections and applied zero-phase (forward, reverse, forward, reverse) so
-filtering adds no group delay.
+sections and applied zero-phase: one forward pass of the whole cascade,
+then one pass of it over the time-reversed result, so filtering adds no
+group delay. Both passes start from a zero state, with no edge padding.
 """
 
 import math

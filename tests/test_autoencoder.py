@@ -77,7 +77,7 @@ class TestForward:
         dims = ae.AeDims(d=6, e1=5, e2=4, z=2)
         p = zero_params(dims)
         p.b1[...] = 3.25
-        enc1, _, _ = ae.encode(np.zeros((2, 6)), p)
+        enc1 = ae.ae_forward(np.zeros((2, 6)), p).enc1
         np.testing.assert_array_equal(enc1, 3.25)
 
     def test_skip_identity_when_decoder_layer_is_zero(self):
@@ -111,7 +111,7 @@ class TestForward:
     def test_width_mismatch_raises(self):
         p = init_ae(ae.AeDims(d=10, e1=8, e2=6, z=3), seed=0)
         with pytest.raises(ShapeError):
-            ae.encode(np.zeros((2, 11)), p)
+            ae.ae_forward(np.zeros((2, 11)), p)
 
     def test_bad_activation_name(self):
         p = init_ae(ae.AeDims(d=6, e1=5, e2=4, z=2), seed=0)

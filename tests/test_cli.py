@@ -147,6 +147,19 @@ class TestTrainEval:
         assert code == 2
         assert "ae.w1" in capsys.readouterr().err
 
+    def test_eval_of_non_finite_checkpoint_exits_2(
+        self, tmp_path, dataset, config_file, capsys
+    ):
+        params = model.init_model(parse_config(config_file), 4, 32, seed=0)
+        params.head.w[0, 0] = np.nan
+        ckpt = str(tmp_path / "nan.cfpn")
+        checkpoint.save_checkpoint(params, ckpt)
+        code = cli.main(["eval", "--ckpt", ckpt, "--data", dataset, "--config", config_file])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "head.w" in captured.err
+        assert captured.out == ""
+
     def test_train_rerun_bitwise_identical(self, tmp_path, dataset, config_file):
         runs = []
         for name in ("a", "b"):

@@ -35,9 +35,9 @@ UNBATCHED_CALLS = {
     "conv2d": lambda: ops.conv2d(np.zeros((1, 4, 4)), _KERNELS, np.zeros(1)),
     "conv2d_backward": lambda: ops.conv2d_backward(
         np.zeros((1, 4, 4)), np.zeros((1, 4, 4)), _KERNELS),
-    "maxpool2d_with_argmax": lambda: ops.maxpool2d_with_argmax(np.zeros((1, 4, 4))),
+    "maxpool2d": lambda: ops.maxpool2d(np.zeros((1, 4, 4))),
     "maxpool2d_backward": lambda: ops.maxpool2d_backward(
-        np.zeros((1, 2, 2)), np.zeros((1, 2, 2), dtype=np.int64), (1, 4, 4)),
+        np.zeros((1, 2, 2)), np.zeros((1, 4, 4)), np.zeros((1, 2, 2))),
     "gru_step": lambda: gru.gru_step(np.zeros(2), np.zeros(3), _BRANCH),
     "run_branch": lambda: gru.run_branch(np.zeros((5, 2)), _BRANCH),
     "logits": lambda: head.logits(np.zeros(3), _HEAD),
@@ -256,6 +256,15 @@ class TestCheckpoint:
             lambda segs: [(n, np.zeros((e2 + 1, e2)) if n == "ae.w3" else a) for n, a in segs],
         )
         with pytest.raises(FormatError, match="widths must satisfy"):
+            checkpoint.load_checkpoint(path)
+
+    def test_non_finite_rejected(self, tmp_path):
+        params = init_model(toy(), 4, 16, seed=0)
+        params.head.w[0, 0] = np.nan
+        params.head.b[1] = np.inf  # a later segment; the first one is named
+        path = str(tmp_path / "nan.cfpn")
+        checkpoint.save_checkpoint(params, path)
+        with pytest.raises(FormatError, match="'head.w' holds a NaN"):
             checkpoint.load_checkpoint(path)
 
     def test_trailing_garbage_rejected(self, tmp_path):

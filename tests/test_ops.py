@@ -157,11 +157,11 @@ class TestConv2d:
 class TestMaxPool:
     def test_two_by_two(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        np.testing.assert_array_equal(ops.maxpool2d_with_argmax(x)[0], [[[[4.0]]]])
+        np.testing.assert_array_equal(ops.maxpool2d(x), [[[[4.0]]]])
 
     def test_odd_dims_floor(self):
         x = np.arange(35.0).reshape(1, 1, 5, 7)
-        out = ops.maxpool2d_with_argmax(x)[0]
+        out = ops.maxpool2d(x)
         assert out.shape == (1, 1, 2, 3)
         np.testing.assert_array_equal(out[0, 0], [[8.0, 10.0, 12.0], [22.0, 24.0, 26.0]])
 
@@ -171,29 +171,47 @@ class TestMaxPool:
             h = int(rng.integers(2, 64))
             w = int(rng.integers(2, 64))
             x = rng.normal(size=(1, 2, h, w))
-            assert ops.maxpool2d_with_argmax(x)[0].shape == (1, 2, h // 2, w // 2)
+            assert ops.maxpool2d(x).shape == (1, 2, h // 2, w // 2)
 
     def test_ties_route_to_first_row_major(self):
         x = np.full((1, 1, 2, 2), 7.0)
-        out, argmax = ops.maxpool2d_with_argmax(x)
+        out = ops.maxpool2d(x)
         np.testing.assert_array_equal(out, [[[[7.0]]]])
-        grad = ops.maxpool2d_backward(np.ones((1, 1, 1, 1)), argmax, x.shape)
+        grad = ops.maxpool2d_backward(np.ones((1, 1, 1, 1)), x, out)
         np.testing.assert_array_equal(grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
     def test_backward_scatters_to_max_position(self):
         x = np.array([[[[1.0, 9.0, 0.0, 0.0], [2.0, 3.0, 0.0, 8.0]]]])
-        out, argmax = ops.maxpool2d_with_argmax(x)
+        out = ops.maxpool2d(x)
         np.testing.assert_array_equal(out, [[[[9.0, 8.0]]]])
-        grad = ops.maxpool2d_backward(np.array([[[[5.0, -2.0]]]]), argmax, x.shape)
+        grad = ops.maxpool2d_backward(np.array([[[[5.0, -2.0]]]]), x, out)
         np.testing.assert_array_equal(grad, [[[[0.0, 5.0, 0.0, 0.0], [0.0, 0.0, 0.0, -2.0]]]])
 
     def test_cropped_tail_receives_zero_grad(self):
         x = np.arange(15.0).reshape(1, 1, 3, 5)
-        out, argmax = ops.maxpool2d_with_argmax(x)
-        grad = ops.maxpool2d_backward(np.ones_like(out), argmax, x.shape)
+        out = ops.maxpool2d(x)
+        grad = ops.maxpool2d_backward(np.ones_like(out), x, out)
         assert grad.shape == x.shape
         np.testing.assert_array_equal(grad[0, 0, 2, :], np.zeros(5))
         np.testing.assert_array_equal(grad[0, 0, :, 4], np.zeros(3))
+
+    def test_matches_explicit_loop_on_tie_heavy_relu_output(self):
+        # Several channels, odd H and W, exact-zero ReLU ties and rounded ties.
+        rng = np.random.default_rng(17)
+        x = ops.relu(np.round(rng.normal(size=(3, 4, 9, 13)), 1))
+        x[:, :, ::4, :] = 0.0
+        up = rng.normal(size=(3, 4, 4, 6))
+        ref_out = np.empty((3, 4, 4, 6))
+        ref_grad = np.zeros_like(x)
+        for n, c, i, j in np.ndindex(ref_out.shape):
+            cells = [(2 * i + di, 2 * j + dj) for di in (0, 1) for dj in (0, 1)]
+            best = max(cells, key=lambda cell: x[n, c][cell])  # first of equal maxima
+            ref_out[n, c, i, j] = x[n, c][best]
+            ref_grad[n, c][best] = up[n, c, i, j]
+        out = ops.maxpool2d(x)
+        assert np.sum(x == 0.0) > x.size // 2
+        assert out.tobytes() == ref_out.tobytes()
+        assert ops.maxpool2d_backward(up, x, out).tobytes() == ref_grad.tobytes()
 
 
 class TestGradCheck:
