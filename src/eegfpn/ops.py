@@ -70,6 +70,13 @@ def conv2d(x, kernels, bias) -> np.ndarray:
     `x` is (N, C_in, H, W); `kernels` is (C_out, C_in, kh, kw). Stride
     is 1 and the input is zero-padded ("same"), so the spatial shape is
     preserved.
+
+    Accumulation order, which every trained number depends on: `out`
+    starts as the bias; for each output channel, taps are visited
+    row-major, and each tap's products are summed over input channels in
+    index order into one reused (N, H, W) buffer before that sum is added
+    to the output. Besides the output and the padded input copy, the only
+    buffers are that sum and one (N, H, W) product.
     """
     x4 = _as_nchw(x)
     kernels = as_f64(kernels)
@@ -87,10 +94,16 @@ def conv2d(x, kernels, bias) -> np.ndarray:
     xp[:, :, ph // 2:ph // 2 + h, pw // 2:pw // 2 + w] = x4
     out = np.empty((n, c_out, h, w))
     out[:] = bias[None, :, None, None]
-    for i in range(kh):
-        for j in range(kw):
-            patch = xp[:, :, i:i + h, j:j + w]
-            out += np.einsum("nchw,oc->nohw", patch, kernels[:, :, i, j])
+    acc = np.empty((n, h, w))
+    tmp = np.empty((n, h, w))
+    for o in range(c_out):
+        for i in range(kh):
+            for j in range(kw):
+                np.multiply(xp[:, 0, i:i + h, j:j + w], kernels[o, 0, i, j], out=acc)
+                for c in range(1, c_in):
+                    np.multiply(xp[:, c, i:i + h, j:j + w], kernels[o, c, i, j], out=tmp)
+                    acc += tmp
+                out[:, o] += acc
     return out
 
 

@@ -12,7 +12,6 @@ from .ops import (
     conv2d_backward,
     maxpool2d,
     maxpool2d_backward,
-    relu,
     relu_grad,
 )
 
@@ -51,15 +50,19 @@ def reshape_to_map(rows: np.ndarray, ch: int, t: int) -> np.ndarray:
 
 
 def nsdru_forward(x: np.ndarray, p: NsdruParams) -> NsdruTrace:
-    """Compress (n, 1, ch, t) maps to (n, 1, ch//2, t//2)."""
+    """Compress (n, 1, ch, t) maps to (n, 1, ch//2, t//2). Both ReLUs run
+    in place on their convolution's output, so no second act1-sized
+    array is allocated."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4 or x.shape[1] != 1:
         raise ShapeError(f"expected (n, 1, ch, t) input, got shape {x.shape}")
     if x.shape[2] < 2 or x.shape[3] < 2:
         raise ShapeError(f"grid {x.shape[2:]} too small to pool (need >= 2x2)")
-    act1 = relu(conv2d(x, p.conv1_w, p.conv1_b))
+    act1 = conv2d(x, p.conv1_w, p.conv1_b)
+    np.maximum(act1, 0.0, out=act1)
     pooled = maxpool2d(act1)
-    act2 = relu(conv2d(pooled, p.conv2_w, p.conv2_b))
+    act2 = conv2d(pooled, p.conv2_w, p.conv2_b)
+    np.maximum(act2, 0.0, out=act2)
     return NsdruTrace(x=x, act1=act1, pooled=pooled, act2=act2)
 
 

@@ -154,14 +154,27 @@ def stratified_split(labels: np.ndarray, fraction: float, rng: np.random.Generat
     return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(val_parts))
 
 
+def _per_batch(rows, ch, t, params, config, keep, batch_size=64):
+    """`keep(trace, start)` for each batch of rows, in order. Only what
+    `keep` returns outlives a batch, so no batch's activations are alive
+    while the next batch's forward runs."""
+    return [
+        keep(model_forward(rows[start:start + batch_size], ch, t, params,
+                           config.ae_output_activation), start)
+        for start in range(0, rows.shape[0], batch_size)
+    ]
+
+
 def _dataset_loss_and_accuracy(rows, labels, ch, t, params, config, batch_size=64):
-    losses, hits, n = 0.0, 0, rows.shape[0]
-    for start in range(0, n, batch_size):
-        batch = rows[start:start + batch_size]
+    def score(trace, start):
         y = labels[start:start + batch_size]
-        trace = model_forward(batch, ch, t, params, config.ae_output_activation)
-        losses += model_loss(trace, y, config.lambda_recon) * batch.shape[0]
-        hits += int(np.sum(np.argmax(trace.probs, axis=-1) == y))
+        return (model_loss(trace, y, config.lambda_recon) * y.shape[0],
+                int(np.sum(np.argmax(trace.probs, axis=-1) == y)))
+
+    losses, hits, n = 0.0, 0, rows.shape[0]
+    for loss, hit in _per_batch(rows, ch, t, params, config, score, batch_size):
+        losses += loss
+        hits += hit
     return losses / n, hits / n
 
 
@@ -228,13 +241,10 @@ def train(config: RunConfig, epochs) -> TrainResult:
 # ---------------------------------------------------------------------------
 
 def predict_rows(rows, ch, t, params, config: RunConfig, batch_size=64):
-    preds = []
-    for start in range(0, rows.shape[0], batch_size):
-        trace = model_forward(
-            rows[start:start + batch_size], ch, t, params, config.ae_output_activation
-        )
-        preds.append(np.argmax(trace.probs, axis=-1))
-    return np.concatenate(preds)
+    return np.concatenate(_per_batch(
+        rows, ch, t, params, config,
+        lambda trace, _: np.argmax(trace.probs, axis=-1), batch_size,
+    ))
 
 
 def evaluate_by_subject(params: ModelParams, epochs, config: RunConfig):
@@ -273,13 +283,9 @@ def export_embeddings(params: ModelParams, epochs, stage: str, config: RunConfig
         features = rows
     else:
         _check_width(rows, params)
-        chunks = []
-        for start in range(0, rows.shape[0], 64):
-            trace = model_forward(
-                rows[start:start + 64], ch, t, params, config.ae_output_activation
-            )
-            chunks.append(trace.csie.aggregate)
-        features = np.concatenate(chunks, axis=0)
+        features = np.concatenate(_per_batch(
+            rows, ch, t, params, config, lambda trace, _: trace.csie.aggregate,
+        ), axis=0)
     lines = []
     for label, vec in zip(labels, features):
         lines.append(",".join([str(int(label))] + [f"{v:.8g}" for v in vec]))

@@ -125,6 +125,36 @@ class TestConv2d:
                         want[n, o, i, j] = np.sum(patch * k[o]) + b[o]
         np.testing.assert_allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("c_in,c_out", [(1, 1), (1, 4), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("ksize", [1, 3, 5])
+    def test_summation_order_is_pinned(self, c_in, c_out, ksize):
+        # Trained numbers and checkpoint hashes depend on the rounding, so
+        # the bytes must equal this order: bias first, taps row-major, and
+        # each tap's channel products summed in index order before adding.
+        rng = np.random.default_rng(100 * c_in + 10 * c_out + ksize)
+        x = rng.normal(size=(2, c_in, 7, 9))
+        x[:, :, :, ::3] = 0.0
+        x[:, :, 2] = 0.0
+        k = rng.normal(size=(c_out, c_in, ksize, ksize))
+        b = rng.normal(size=c_out)
+        r = ksize // 2
+        xp = np.pad(x, ((0, 0), (0, 0), (r, r), (r, r))).tolist()
+        kl, bl = k.tolist(), b.tolist()
+        want = np.empty((2, c_out, 7, 9))
+        for n in range(2):
+            for o in range(c_out):
+                for y in range(7):
+                    for z in range(9):
+                        acc = bl[o]
+                        for i in range(ksize):
+                            for j in range(ksize):
+                                tap = xp[n][0][y + i][z + j] * kl[o][0][i][j]
+                                for c in range(1, c_in):
+                                    tap += xp[n][c][y + i][z + j] * kl[o][c][i][j]
+                                acc += tap
+                        want[n, o, y, z] = acc
+        assert ops.conv2d(x, k, b).tobytes() == want.tobytes()
+
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
             ops.conv2d(np.zeros((1, 2, 4, 4)), np.zeros((1, 3, 3, 3)), np.zeros(1))

@@ -1,6 +1,8 @@
 """Training harness: split, optimizer, loop determinism, evaluation,
 embedding export. Full runs here use tiny grids so the suite stays fast."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -277,3 +279,39 @@ class TestExport:
         params = init_model(config, config.ch, config.t, seed=0)
         with pytest.raises(ConfigError):
             trainer.export_embeddings(params, tiny_dataset(), "logits", config)
+
+
+def _traced_peak_mib(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestBatchMemory:
+    """Forward-only loops keep only each batch's argmax, loss or aggregate,
+    so a second batch of 64 does not add a whole batch's activations to
+    the peak. The grid makes the reducer's activations dominate."""
+
+    @pytest.mark.parametrize("entry", ["predict_rows", "dataset_loss", "export_latent"])
+    def test_two_batches_peak_like_one(self, entry):
+        config = RunConfig(ch=8, t=64, e1=16, e2=8, z=4, h=4, k=2,
+                           nsdru_hidden_channels=32)
+        params = init_model(config, config.ch, config.t, seed=0)
+
+        def peak(n_per_class):
+            data = generate_synthetic(n_per_class=n_per_class, ch=8, t=64,
+                                      sampling_rate=128.0, snr_db=10.0, seed=0)
+            rows, labels, ch, t = trainer.preprocess(data, config)
+            return _traced_peak_mib({
+                "predict_rows": lambda: trainer.predict_rows(rows, ch, t, params, config),
+                "dataset_loss": lambda: trainer._dataset_loss_and_accuracy(
+                    rows, labels, ch, t, params, config),
+                "export_latent": lambda: trainer.export_embeddings(
+                    params, data, "latent", config),
+            }[entry])
+
+        one, two = peak(32), peak(64)
+        assert two < 1.05 * one, f"one batch {one:.2f} MiB, two batches {two:.2f} MiB"
