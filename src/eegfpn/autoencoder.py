@@ -145,10 +145,7 @@ def ae_backward(
     reconstruction loss term plus whatever the downstream consumer of the
     reconstruction contributes).
     """
-    if output_activation not in OUTPUT_ACTIVATIONS:
-        raise ConfigError(
-            f"output_activation must be one of {OUTPUT_ACTIVATIONS}, got {output_activation!r}"
-        )
+    _check_activation(output_activation)
     d_dec3 = d_recon * trace.recon * (1.0 - trace.recon)
     if output_activation == "relu":
         d_dec3 = relu_grad(trace.dec3, d_dec3)

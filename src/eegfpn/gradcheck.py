@@ -65,6 +65,19 @@ def _check(params, loss_of, grads_of, epsilon=1e-5) -> GradCheckReport:
     )
 
 
+def _check_mse(params, target, forward, output, backward) -> GradCheckReport:
+    """_check of the MSE between `forward(p)`'s `output` attribute and
+    `target`; `backward(trace, upstream, p)` returns the gradients."""
+    def loss_of(p):
+        return float(np.mean((getattr(forward(p), output) - target) ** 2))
+
+    def grads_of(p):
+        trace = forward(p)
+        return backward(trace, 2.0 * (getattr(trace, output) - target) / target.size, p)
+
+    return _check(params, loss_of, grads_of)
+
+
 def check_autoencoder(seed: int, output_activation: str = "relu") -> GradCheckReport:
     """MSE reconstruction loss through encoder, skips and decoder."""
     rng = np.random.default_rng(seed)
@@ -72,17 +85,10 @@ def check_autoencoder(seed: int, output_activation: str = "relu") -> GradCheckRe
     _jitter(params, rng)
     x = rng.uniform(0.0, 1.0, size=(4, 12))
     target = rng.uniform(0.0, 1.0, size=(4, 12))
-
-    def loss_of(p):
-        trace = ae.ae_forward(x, p, output_activation)
-        return ae.reconstruction_loss(trace.recon, target)
-
-    def grads_of(p):
-        trace = ae.ae_forward(x, p, output_activation)
-        d_recon = 2.0 * (trace.recon - target) / target.size
-        return ae.ae_backward(trace, d_recon, p, output_activation)
-
-    return _check(params, loss_of, grads_of)
+    return _check_mse(
+        params, target, lambda p: ae.ae_forward(x, p, output_activation), "recon",
+        lambda trace, up, p: ae.ae_backward(trace, up, p, output_activation),
+    )
 
 
 def check_nsdru(seed: int) -> GradCheckReport:
@@ -92,17 +98,10 @@ def check_nsdru(seed: int) -> GradCheckReport:
     _jitter(params, rng)
     x = rng.uniform(0.0, 1.0, size=(1, 1, 4, 6))
     target = rng.normal(size=(1, 1, 2, 3))
-
-    def loss_of(p):
-        trace = reducer.nsdru_forward(x, p)
-        return float(np.mean((trace.act2 - target) ** 2))
-
-    def grads_of(p):
-        trace = reducer.nsdru_forward(x, p)
-        upstream = 2.0 * (trace.act2 - target) / target.size
-        return reducer.nsdru_backward(trace, upstream, p)[0]
-
-    return _check(params, loss_of, grads_of)
+    return _check_mse(
+        params, target, lambda p: reducer.nsdru_forward(x, p), "act2",
+        lambda trace, up, p: reducer.nsdru_backward(trace, up, p)[0],
+    )
 
 
 def check_csie(seed: int) -> GradCheckReport:
@@ -111,17 +110,10 @@ def check_csie(seed: int) -> GradCheckReport:
     params = init_params(gru.csie_shapes(f=2, h=4, k=2), seed)
     sequence = rng.normal(size=(2, 3, 2))
     target = rng.normal(size=(2, 4))
-
-    def loss_of(p):
-        trace = gru.csie_forward(sequence, p)
-        return float(np.mean((trace.aggregate - target) ** 2))
-
-    def grads_of(p):
-        trace = gru.csie_forward(sequence, p)
-        upstream = 2.0 * (trace.aggregate - target) / target.size
-        return gru.csie_backward(trace, upstream, p)[0]
-
-    return _check(params, loss_of, grads_of)
+    return _check_mse(
+        params, target, lambda p: gru.csie_forward(sequence, p), "aggregate",
+        lambda trace, up, p: gru.csie_backward(trace, up, p)[0],
+    )
 
 
 def check_full_pipeline(

@@ -191,8 +191,9 @@ def pack_params(params) -> np.ndarray:
 
 
 def unpack_params(theta: np.ndarray, template):
-    """Rebuild `template`'s structure and shapes from a flat vector (copy)."""
-    theta = np.array(theta, dtype=np.float64).reshape(-1)
+    """`template`'s structure and shapes over a flat vector, as views into
+    `theta` (or into its float64 copy, if it is of another dtype)."""
+    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     want = n_params(template)
     if theta.size != want:
         raise ShapeError(f"flat vector has {theta.size} entries, model needs {want}")

@@ -8,7 +8,6 @@ child streams of that seed, and gradient accumulation follows a fixed
 index order.
 """
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,10 @@ from .model import (
     model_backward,
     model_forward,
     model_loss,
+    n_params,
+    pack_params,
     param_segments,
+    unpack_params,
 )
 from .signals import FilterSpec, apply_bandpass, design_bandpass, minmax_normalize
 
@@ -92,47 +94,48 @@ def preprocess(epochs, config: RunConfig):
 
 @dataclass
 class AdamState:
-    m: dict
-    v: dict
+    """Both moments over the flat parameter vector, the step count, and
+    two vectors each step reuses: the packed gradient and a temporary."""
+    m: np.ndarray
+    v: np.ndarray
+    scratch: np.ndarray
     step: int = 0
 
 
-def init_adam(params: ModelParams) -> AdamState:
-    return AdamState(
-        m={name: np.zeros_like(arr) for name, arr in param_segments(params)},
-        v={name: np.zeros_like(arr) for name, arr in param_segments(params)},
-    )
+def init_adam(size: int) -> AdamState:
+    return AdamState(m=np.zeros(size), v=np.zeros(size), scratch=np.empty((2, size)))
 
 
 def adam_step(
-    params: ModelParams, grads: ModelParams, state: AdamState,
+    theta: np.ndarray, grads: ModelParams, state: AdamState,
     lr: float, beta1: float, beta2: float, epsilon: float,
-) -> AdamState:
-    """One bias-corrected Adam update, in place over the param arrays.
-    Every gradient is checked before any parameter or state changes."""
-    segments = param_segments(params)
-    grad_segs = param_segments(grads)
-    for (name, arr), (g_name, g) in zip(segments, grad_segs):
-        if g_name != name or g.shape != arr.shape:
-            raise ShapeError(
-                f"gradient segment {g_name!r} {g.shape} does not match "
-                f"parameter {name!r} {arr.shape}"
-            )
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient in segment {name!r}")
+):
+    """One bias-corrected Adam update, in place over the flat vector
+    `theta`, after the gradients are packed and checked. Each element sees
+    the operations of the plain `m = b1*m + (1-b1)*g`, `v = b2*v +
+    (1-b2)*g*g`, `theta -= lr*m_hat / (sqrt(v_hat) + eps)` in their order."""
+    segments = param_segments(grads)
+    size = n_params(grads)
+    if size != theta.size:
+        raise ShapeError(f"gradients have {size} entries, parameters {theta.size}")
+    g, tmp = state.scratch
+    np.concatenate([arr.reshape(-1) for _, arr in segments], out=g)
+    if not np.isfinite(g).all():
+        name = next(name for name, arr in segments if not np.isfinite(arr).all())
+        raise NumericError(f"non-finite gradient in segment {name!r}")
     state.step += 1
-    t = state.step
-    for (name, arr), (_, g) in zip(segments, grad_segs):
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        arr -= lr * m_hat / (np.sqrt(v_hat) + epsilon)
-    return state
+    m, v = state.m, state.v
+    m *= beta1
+    m += np.multiply(g, 1.0 - beta1, out=tmp)
+    v *= beta2
+    np.multiply(g, 1.0 - beta2, out=tmp)
+    v += np.multiply(tmp, g, out=tmp)
+    np.divide(m, 1.0 - beta1 ** state.step, out=tmp)
+    tmp *= lr
+    np.divide(v, 1.0 - beta2 ** state.step, out=g)
+    np.sqrt(g, out=g)
+    g += epsilon
+    theta -= np.divide(tmp, g, out=tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +199,11 @@ def train(config: RunConfig, epochs) -> TrainResult:
         )
 
     params = init_model(config, ch, t, seed=int(init_seq.generate_state(1)[0]))
-    state = init_adam(params)
+    theta = pack_params(params)
+    params = unpack_params(theta, params)  # views: Adam's updates show through
+    state = init_adam(theta.size)
     history = TrainHistory()
-    best = None  # (accuracy, epoch, deep-copied params)
+    best = None  # (accuracy, epoch, copy of theta)
 
     x_train, y_train = rows[train_idx], labels[train_idx]
     x_val, y_val = rows[val_idx], labels[val_idx]
@@ -216,9 +221,11 @@ def train(config: RunConfig, epochs) -> TrainResult:
                 trace, y, params, config.lambda_recon, config.ae_output_activation
             )
             adam_step(
-                params, grads, state, config.learning_rate,
+                theta, grads, state, config.learning_rate,
                 config.beta1, config.beta2, config.adam_epsilon,
             )
+            # Neither outlives its step, so the next forward runs without them.
+            del trace, grads
             running += loss * batch.shape[0]
             seen += batch.shape[0]
         val_loss, val_acc = _dataset_loss_and_accuracy(
@@ -228,10 +235,10 @@ def train(config: RunConfig, epochs) -> TrainResult:
         history.val_loss.append(val_loss)
         history.val_accuracy.append(val_acc)
         if best is None or val_acc > best[0]:
-            best = (val_acc, epoch, copy.deepcopy(params))
+            best = (val_acc, epoch, theta.copy())
 
     return TrainResult(
-        params=best[2], history=history, best_epoch=best[1],
+        params=unpack_params(best[2], params), history=history, best_epoch=best[1],
         best_val_accuracy=best[0], ch=ch, t=t,
     )
 

@@ -109,6 +109,10 @@ class TestAssembly:
         np.testing.assert_array_equal(pack_params(rebuilt), theta + 1.0)
         # Original untouched.
         np.testing.assert_array_equal(pack_params(params), theta)
+        # The rebuilt arrays are views: a write into the vector shows through.
+        views = unpack_params(theta, params)
+        theta[-1] += 1.0
+        assert views.head.b[-1] == theta[-1]
 
     def test_segment_order_documented(self):
         config = RunConfig(ch=4, t=16, e1=16, e2=8, z=4, h=4, k=2)

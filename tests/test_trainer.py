@@ -9,7 +9,9 @@ import pytest
 from eegfpn import train as trainer
 from eegfpn.config import RunConfig
 from eegfpn.errors import ConfigError, NumericError, ShapeError
-from eegfpn.model import init_model, model_backward, model_forward, pack_params, param_segments
+from eegfpn.model import (
+    init_model, model_backward, model_forward, pack_params, param_segments, unpack_params,
+)
 from eegfpn.signals import Epoch, generate_synthetic
 
 
@@ -55,6 +57,19 @@ class TestSplit:
         np.testing.assert_array_equal(a[1], b[1])
 
 
+def _reference_adam(arrays, moments, grads, t, lr, beta1, beta2, epsilon):
+    """The per-segment Adam loop the flat update replaced, kept as the
+    bitwise reference: plain elementwise expressions over each array."""
+    for arr, (m, v), g in zip(arrays, moments, grads):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        arr -= lr * m_hat / (np.sqrt(v_hat) + epsilon)
+
+
 class TestAdam:
     def _setup(self, seed=0):
         config = tiny_config()
@@ -63,63 +78,83 @@ class TestAdam:
         labels = np.array([0, 1, 0, 1])
         trace = model_forward(rows, config.ch, config.t, params)
         grads = model_backward(trace, labels, params, config.lambda_recon)
-        return config, params, grads
+        return config, pack_params(params), grads
 
     def test_zero_grad_is_noop(self):
-        config, params, grads = self._setup()
+        config, theta, grads = self._setup()
         for _, g in param_segments(grads):
             g[...] = 0.0
-        before = pack_params(params)
-        trainer.adam_step(params, grads, trainer.init_adam(params),
+        before = theta.copy()
+        trainer.adam_step(theta, grads, trainer.init_adam(theta.size),
                           config.learning_rate, config.beta1, config.beta2,
                           config.adam_epsilon)
-        np.testing.assert_array_equal(pack_params(params), before)
+        np.testing.assert_array_equal(theta, before)
 
     def test_first_step_size_bounded_by_lr(self):
         # With bias correction the first update is lr * g/(|g| + eps) <= lr.
-        config, params, grads = self._setup()
-        before = pack_params(params)
-        trainer.adam_step(params, grads, trainer.init_adam(params),
+        config, theta, grads = self._setup()
+        before = theta.copy()
+        trainer.adam_step(theta, grads, trainer.init_adam(theta.size),
                           1e-3, config.beta1, config.beta2, config.adam_epsilon)
-        delta = np.abs(pack_params(params) - before)
+        delta = np.abs(theta - before)
         assert delta.max() <= 1e-3 + 1e-12
         assert delta.max() > 0.0
 
     def test_updates_deterministic(self):
         outs = []
         for _ in range(2):
-            config, params, grads = self._setup(seed=3)
-            state = trainer.init_adam(params)
+            config, theta, grads = self._setup(seed=3)
+            state = trainer.init_adam(theta.size)
             for _ in range(3):
-                trainer.adam_step(params, grads, state, 1e-3,
+                trainer.adam_step(theta, grads, state, 1e-3,
                                   config.beta1, config.beta2, config.adam_epsilon)
-            outs.append(pack_params(params))
+            outs.append(theta)
         np.testing.assert_array_equal(outs[0], outs[1])
 
-    def _assert_bad_step_changes_nothing(self, spoil, error):
-        config, params, grads = self._setup(seed=1)
-        state = trainer.init_adam(params)
+    def test_flat_update_bitwise_equals_per_segment_loop(self):
+        # Varying gradients over many steps, so the moments, the bias
+        # correction and the scratch reuse all take part.
+        config, theta, grads = self._setup(seed=2)
+        arrays = [arr.copy() for _, arr in param_segments(unpack_params(theta, grads))]
+        moments = [(np.zeros_like(a), np.zeros_like(a)) for a in arrays]
+        state = trainer.init_adam(theta.size)
+        rng = np.random.default_rng(5)
+        step = (3e-3, config.beta1, config.beta2, config.adam_epsilon)
+        for t in range(1, 61):
+            for _, g in param_segments(grads):
+                g[...] = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=g.shape)
+            trainer.adam_step(theta, grads, state, *step)
+            _reference_adam(arrays, moments,
+                            [g for _, g in param_segments(grads)], t, *step)
+        assert state.step == 60
+        assert theta.tobytes() == np.concatenate([a.ravel() for a in arrays]).tobytes()
+        for flat, i in ((state.m, 0), (state.v, 1)):
+            want = np.concatenate([pair[i].ravel() for pair in moments])
+            assert flat.tobytes() == want.tobytes()
+
+    def _assert_bad_step_changes_nothing(self, spoil, error, match):
+        config, theta, grads = self._setup(seed=1)
+        state = trainer.init_adam(theta.size)
         step = (config.learning_rate, config.beta1, config.beta2, config.adam_epsilon)
-        trainer.adam_step(params, grads, state, *step)
-        before = [pack_params(params), state.step]
-        moments = [np.concatenate([a.ravel() for a in d.values()]) for d in (state.m, state.v)]
+        trainer.adam_step(theta, grads, state, *step)
+        before = [theta.copy(), state.m.copy(), state.v.copy()]
         spoil(grads)
-        with pytest.raises(error):
-            trainer.adam_step(params, grads, state, *step)
-        np.testing.assert_array_equal(pack_params(params), before[0])
-        assert state.step == before[1] == 1
-        for d, want in zip((state.m, state.v), moments):
-            np.testing.assert_array_equal(np.concatenate([a.ravel() for a in d.values()]), want)
+        with pytest.raises(error, match=match):
+            trainer.adam_step(theta, grads, state, *step)
+        assert state.step == 1
+        for now, want in zip((theta, state.m, state.v), before):
+            np.testing.assert_array_equal(now, want)
 
     def test_wrong_last_gradient_shape_changes_nothing(self):
         def spoil(grads):
             grads.head.b = np.zeros(grads.head.b.size + 1)
-        self._assert_bad_step_changes_nothing(spoil, ShapeError)
+        self._assert_bad_step_changes_nothing(spoil, ShapeError, "entries")
 
     def test_non_finite_gradient_changes_nothing(self):
         def spoil(grads):
-            grads.ae.w1[0, 0] = np.nan
-        self._assert_bad_step_changes_nothing(spoil, NumericError)
+            grads.nsdru.conv2_w[0, 0, 1, 1] = np.inf
+            grads.head.w[0, 0] = np.nan
+        self._assert_bad_step_changes_nothing(spoil, NumericError, "'nsdru.conv2_w'")
 
 
 class TestPreprocess:
@@ -315,3 +350,17 @@ class TestBatchMemory:
 
         one, two = peak(32), peak(64)
         assert two < 1.05 * one, f"one batch {one:.2f} MiB, two batches {two:.2f} MiB"
+
+    def test_training_steps_do_not_overlap(self):
+        # At the default config a pass of two steps peaks like a pass of
+        # one: no step's trace or gradients are alive during the next
+        # step's forward.
+        config = RunConfig(max_epochs=1, batch_size=16)
+
+        def peak(n_per_class):
+            data = generate_synthetic(n_per_class=n_per_class, ch=config.ch, t=config.t,
+                                      sampling_rate=250.0, snr_db=10.0, seed=0)
+            return _traced_peak_mib(lambda: trainer.train(config, data))
+
+        one, two = peak(10), peak(20)
+        assert two < 1.05 * one, f"one step {one:.2f} MiB, two steps {two:.2f} MiB"
