@@ -78,6 +78,7 @@ class AeTrace:
     dec2_skip: np.ndarray
     dec3: np.ndarray
     recon: np.ndarray
+    output_activation: str  # the forward's, so the backward cannot differ
 
 
 def _dense(x, w, b):
@@ -88,18 +89,14 @@ def _dense(x, w, b):
     return x @ w.T + b
 
 
-def _check_activation(output_activation: str):
-    if output_activation not in OUTPUT_ACTIVATIONS:
-        raise ConfigError(
-            f"output_activation must be one of {OUTPUT_ACTIVATIONS}, got {output_activation!r}"
-        )
-
-
 def ae_forward(x: np.ndarray, p: AeParams, output_activation: str = "relu") -> AeTrace:
     """Three ReLU stages narrow (n, d) to (n, e1), (n, e2), (n, z); the
     decoder widens the bottleneck back out, adding encoder skips at each
     width."""
-    _check_activation(output_activation)
+    if output_activation not in OUTPUT_ACTIVATIONS:
+        raise ConfigError(
+            f"output_activation must be one of {OUTPUT_ACTIVATIONS}, got {output_activation!r}"
+        )
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"encoder expects a 2-D batch, got shape {x.shape}")
@@ -119,7 +116,7 @@ def ae_forward(x: np.ndarray, p: AeParams, output_activation: str = "relu") -> A
     return AeTrace(
         x=x, enc1=enc1, enc2=enc2, latent=latent,
         dec1=dec1, dec1_skip=dec1_skip, dec2=dec2, dec2_skip=dec2_skip,
-        dec3=dec3, recon=sigmoid(dec3),
+        dec3=dec3, recon=sigmoid(dec3), output_activation=output_activation,
     )
 
 
@@ -133,10 +130,7 @@ def reconstruction_loss(recon: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-def ae_backward(
-    trace: AeTrace, d_recon: np.ndarray, p: AeParams,
-    output_activation: str = "relu",
-):
+def ae_backward(trace: AeTrace, d_recon: np.ndarray, p: AeParams):
     """Exact reverse pass; skips route gradient to both of their inputs.
     Returns the AeParams of gradients; the input rows are data, so no
     gradient is formed for them.
@@ -145,9 +139,8 @@ def ae_backward(
     reconstruction loss term plus whatever the downstream consumer of the
     reconstruction contributes).
     """
-    _check_activation(output_activation)
     d_dec3 = d_recon * trace.recon * (1.0 - trace.recon)
-    if output_activation == "relu":
+    if trace.output_activation == "relu":
         d_dec3 = relu_grad(trace.dec3, d_dec3)
     d_w6 = d_dec3.T @ trace.dec2_skip
     d_b6 = d_dec3.sum(axis=0)

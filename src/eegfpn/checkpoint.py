@@ -10,6 +10,9 @@ segment or a segment of the wrong shape fails loudly; so does a NaN or
 infinite parameter.
 """
 
+import math
+import os
+import stat
 import struct
 from itertools import zip_longest
 
@@ -25,66 +28,60 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(params: ModelParams, path: str):
-    chunks = [
-        CHECKPOINT_MAGIC,
-        struct.pack("<I", CHECKPOINT_VERSION),
-    ]
     segments = param_segments(params)
-    chunks.append(struct.pack("<I", len(segments)))
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(segments))]
     for name, arr in segments:
         encoded = name.encode("ascii")
-        chunks.append(struct.pack("<B", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    atomic_write(path, b"".join(chunks))
-
-
-class _Reader:
-    def __init__(self, blob: bytes, path: str):
-        self.blob = blob
-        self.path = path
-        self.offset = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.offset + n > len(self.blob):
-            raise FormatError(
-                f"{self.path}: truncated while reading {what} at offset {self.offset}"
-            )
-        out = self.blob[self.offset:self.offset + n]
-        self.offset += n
-        return out
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
+        chunks += [
+            struct.pack("<B", len(encoded)), encoded,
+            struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape),
+            np.ascontiguousarray(arr, dtype="<f8"),
+        ]
+    atomic_write(path, *chunks)
 
 
 def read_segments(path: str) -> list:
-    """Parse a checkpoint into (name, array) pairs in file order."""
+    """Parse a checkpoint (a regular file) into (name, array) pairs in
+    file order, reading each payload straight into its array."""
+    # Offsets and sizes come from the file system, and opening a named
+    # pipe would wait for a writer.
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise FormatError(f"{path}: a checkpoint must be a regular file")
     with open(path, "rb") as fh:
-        blob = fh.read()
-    reader = _Reader(blob, path)
-    magic = reader.take(4, "magic")
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r} at offset 0")
-    version = reader.u32("version")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    count = reader.u32("segment count")
-    segments = []
-    for index in range(count):
-        name_len = reader.take(1, f"segment {index} name length")[0]
-        name = reader.take(name_len, f"segment {index} name").decode("ascii")
-        rank = reader.u32(f"segment {name!r} rank")
-        dims = struct.unpack(f"<{rank}I", reader.take(4 * rank, f"segment {name!r} dims"))
-        n_elem = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        payload = reader.take(8 * n_elem, f"segment {name!r} payload")
-        segments.append((name, np.frombuffer(payload, dtype="<f8").reshape(dims).copy()))
-    if reader.offset != len(blob):
-        raise FormatError(
-            f"{path}: {len(blob) - reader.offset} trailing bytes after last segment"
-        )
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(n: int, what: str, make=bytearray):
+            """The next n bytes, read into make(n) once the file is known
+            to hold them; a short read is a truncation too."""
+            offset = fh.tell()
+            if n <= size - offset:
+                out = make(n)
+                if fh.readinto(out) == n:
+                    return out
+            raise FormatError(f"{path}: truncated while reading {what} at offset {offset}")
+
+        def u32(what: str) -> int:
+            return struct.unpack("<I", take(4, what))[0]
+
+        magic = take(4, "magic")
+        if magic != CHECKPOINT_MAGIC:
+            raise FormatError(f"{path}: bad magic {bytes(magic)!r} at offset 0")
+        version = u32("version")
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        segments = []
+        for index in range(u32("segment count")):
+            name_len = take(1, f"segment {index} name length")[0]
+            name = take(name_len, f"segment {index} name").decode("ascii")
+            rank = u32(f"segment {name!r} rank")
+            dims = struct.unpack(f"<{rank}I", take(4 * rank, f"segment {name!r} dims"))
+            # Exact integers: no header can wrap the size past the check.
+            payload = take(8 * math.prod(dims), f"segment {name!r} payload",
+                           lambda _: np.empty(dims, dtype="<f8"))
+            segments.append((name, payload))
+        trailing = size - fh.tell()
+    if trailing:
+        raise FormatError(f"{path}: {trailing} trailing bytes after last segment")
     return segments
 
 

@@ -5,7 +5,9 @@ rejected so typos fail loudly."""
 import dataclasses
 from dataclasses import dataclass
 
+from .autoencoder import OUTPUT_ACTIVATIONS
 from .errors import ConfigError, ParseError
+from .signals import FilterSpec
 
 
 @dataclass
@@ -50,18 +52,26 @@ class RunConfig:
             raise ConfigError(
                 f"widths must satisfy e1 >= e2 >= z >= 1, got {self.e1}/{self.e2}/{self.z}"
             )
-        if self.ae_output_activation not in ("relu", "linear"):
+        if self.ae_output_activation not in OUTPUT_ACTIVATIONS:
             raise ConfigError(
-                f"ae_output_activation must be relu or linear, got {self.ae_output_activation!r}"
+                f"ae_output_activation must be one of {OUTPUT_ACTIVATIONS}, "
+                f"got {self.ae_output_activation!r}"
             )
+        FilterSpec(self.f_low, self.f_high, self.filter_order).validate()
         if self.nsdru_hidden_channels < 1:
             raise ConfigError(f"nsdru_hidden_channels must be >= 1, got {self.nsdru_hidden_channels}")
         if self.k < 1 or self.h < 1:
             raise ConfigError(f"need k >= 1 and h >= 1, got k={self.k}, h={self.h}")
-        if self.lambda_recon < 0:
+        if not self.lambda_recon >= 0:
             raise ConfigError(f"lambda_recon must be >= 0, got {self.lambda_recon}")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError(
+                f"beta1 and beta2 must lie in [0, 1), got {self.beta1} and {self.beta2}"
+            )
+        if not self.adam_epsilon > 0:
+            raise ConfigError(f"adam_epsilon must be positive, got {self.adam_epsilon}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:

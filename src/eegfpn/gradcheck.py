@@ -87,7 +87,7 @@ def check_autoencoder(seed: int, output_activation: str = "relu") -> GradCheckRe
     target = rng.uniform(0.0, 1.0, size=(4, 12))
     return _check_mse(
         params, target, lambda p: ae.ae_forward(x, p, output_activation), "recon",
-        lambda trace, up, p: ae.ae_backward(trace, up, p, output_activation),
+        ae.ae_backward,
     )
 
 
@@ -129,17 +129,15 @@ def check_full_pipeline(
     rows = rng.uniform(0.0, 1.0, size=(4, config.d))
     labels = np.array([0, 1, 1, 0])
 
-    def loss_of(p):
-        trace = model_forward(rows, config.ch, config.t, p, config.ae_output_activation)
-        return model_loss(trace, labels, config.lambda_recon)
+    def forward(p):
+        return model_forward(rows, config.ch, config.t, p, config.ae_output_activation)
 
-    def grads_of(p):
-        trace = model_forward(rows, config.ch, config.t, p, config.ae_output_activation)
-        return model_backward(
-            trace, labels, p, config.lambda_recon, config.ae_output_activation
-        )
-
-    return _check(params, loss_of, grads_of, epsilon=epsilon)
+    return _check(
+        params,
+        lambda p: model_loss(forward(p), labels, config.lambda_recon),
+        lambda p: model_backward(forward(p), labels, p, config.lambda_recon),
+        epsilon=epsilon,
+    )
 
 
 def run_suite(seed: int):

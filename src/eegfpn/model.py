@@ -123,7 +123,6 @@ def model_loss(trace: ModelTrace, labels, lambda_recon: float) -> float:
 
 def model_backward(
     trace: ModelTrace, labels, params: ModelParams, lambda_recon: float,
-    output_activation: str = "relu",
 ) -> ModelParams:
     """Gradients of model_loss, as a ModelParams of gradient arrays."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -141,7 +140,7 @@ def model_backward(
     d_recon = d_maps.reshape(n, -1)
     if lambda_recon != 0.0:
         d_recon = d_recon + lambda_recon * 2.0 * (trace.ae.recon - trace.ae.x) / trace.ae.recon.size
-    ae_grads = ae.ae_backward(trace.ae, d_recon, params.ae, output_activation)
+    ae_grads = ae.ae_backward(trace.ae, d_recon, params.ae)
     return ModelParams(ae=ae_grads, nsdru=nsdru_grads, csie=csie_grads, head=head_grads)
 
 

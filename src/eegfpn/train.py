@@ -217,9 +217,7 @@ def train(config: RunConfig, epochs) -> TrainResult:
             loss = model_loss(trace, y, config.lambda_recon)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
-            grads = model_backward(
-                trace, y, params, config.lambda_recon, config.ae_output_activation
-            )
+            grads = model_backward(trace, y, params, config.lambda_recon)
             adam_step(
                 theta, grads, state, config.learning_rate,
                 config.beta1, config.beta2, config.adam_epsilon,

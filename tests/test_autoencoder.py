@@ -155,6 +155,19 @@ class TestBackward:
         report = gradcheck.check_autoencoder(seed, output_activation="linear")
         assert report.max_relative_error < 1e-4
 
+    def test_backward_follows_the_forward_activation(self):
+        # The trace records the forward's output activation, so a linear
+        # forward's backward passes gradient through negative
+        # pre-activations, which a relu would mask.
+        p = init_ae(ae.AeDims(d=8, e1=6, e2=4, z=2), seed=3)
+        p.b6[...] = -5.0
+        x = np.random.default_rng(3).uniform(size=(3, 8))
+        trace = ae.ae_forward(x, p, "linear")
+        assert trace.output_activation == "linear"
+        assert np.all(trace.dec3 < 0.0)
+        g = ae.ae_backward(trace, np.ones_like(trace.recon), p)
+        np.testing.assert_allclose(g.b6, (trace.recon * (1.0 - trace.recon)).sum(axis=0))
+
     def test_zero_upstream_gives_zero_grads(self):
         p = init_ae(ae.AeDims(d=8, e1=6, e2=4, z=2), seed=4)
         x = np.random.default_rng(4).uniform(size=(3, 8))

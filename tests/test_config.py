@@ -73,7 +73,18 @@ class TestValidation:
         "k = 0\n",
         "h = 0\n",
         "lambda_recon = -0.1\n",
+        "lambda_recon = nan\n",
         "learning_rate = 0\n",
+        "learning_rate = nan\n",
+        "beta1 = 1.0\n",
+        "beta1 = -0.1\n",
+        "beta2 = 1.5\n",
+        "beta2 = nan\n",
+        "adam_epsilon = 0\n",
+        "adam_epsilon = nan\n",
+        "f_low = 0\n",
+        "f_low = 40\n",       # above f_high
+        "filter_order = 3\n",
         "batch_size = 0\n",
         "max_epochs = 0\n",
         "split_fraction = 1.0\n",

@@ -1,6 +1,7 @@
 """Pipeline assembly and the checkpoint format."""
 
 import hashlib
+import os
 import struct
 
 import numpy as np
@@ -20,6 +21,7 @@ from eegfpn.model import (
     param_segments,
     unpack_params,
 )
+from traced_memory import traced_peak_mib
 
 
 def toy():
@@ -279,3 +281,54 @@ class TestCheckpoint:
         (tmp_path / "trail.cfpn").write_bytes(blob)
         with pytest.raises(FormatError, match="trailing"):
             checkpoint.load_checkpoint(str(tmp_path / "trail.cfpn"))
+
+    @pytest.mark.parametrize("dims", [(2**32 - 1, 2**32 - 1), (2**31, 2**31, 4)])
+    def test_oversized_header_rejected(self, tmp_path, dims):
+        # The payload size is exact; an int64 product would wrap to a
+        # small or zero size here.
+        path = tmp_path / "huge.cfpn"
+        path.write_bytes(
+            b"CFPN" + struct.pack("<II", 1, 1) + struct.pack("<B", 5) + b"ae.w1"
+            + struct.pack(f"<I{len(dims)}I", len(dims), *dims) + b"\x00" * 64
+        )
+        with pytest.raises(FormatError, match=r"huge\.cfpn: truncated .*'ae\.w1' payload"):
+            checkpoint.read_segments(str(path))
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_rejected(self, tmp_path):
+        path = str(tmp_path / "model.cfpn")
+        checkpoint.save_checkpoint(init_model(toy(), 4, 16, seed=0), path)
+        blob = open(path, "rb").read()
+        assert len(blob) < 2**16  # fits the pipe's buffer, so no writer blocks
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, blob)
+            os.close(write_end)
+            with pytest.raises(FormatError, match="must be a regular file"):
+                checkpoint.load_checkpoint(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+
+
+class TestCheckpointMemory:
+    """Loading reads each payload straight into its array and saving
+    writes the arrays themselves, so neither stages the file's bytes."""
+
+    @staticmethod
+    def _saved(tmp_path):
+        config = RunConfig(ch=32, t=256)
+        params = init_model(config, config.ch, config.t, seed=0)
+        path = str(tmp_path / "model.cfpn")
+        checkpoint.save_checkpoint(params, path)
+        return params, path
+
+    def test_load_peak_near_file_size(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        size = os.path.getsize(path) / 2**20
+        peak = traced_peak_mib(lambda: checkpoint.load_checkpoint(path))
+        assert peak <= 1.1 * size, f"file {size:.1f} MiB, load peak {peak:.1f} MiB"
+
+    def test_save_stages_nothing(self, tmp_path):
+        params, path = self._saved(tmp_path)
+        peak = traced_peak_mib(lambda: checkpoint.save_checkpoint(params, path))
+        assert peak < 1.0, f"save peak {peak:.2f} MiB"

@@ -1,8 +1,6 @@
 """Training harness: split, optimizer, loop determinism, evaluation,
 embedding export. Full runs here use tiny grids so the suite stays fast."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -13,6 +11,7 @@ from eegfpn.model import (
     init_model, model_backward, model_forward, pack_params, param_segments, unpack_params,
 )
 from eegfpn.signals import Epoch, generate_synthetic
+from traced_memory import traced_peak_mib
 
 
 def tiny_config(**overrides):
@@ -316,15 +315,6 @@ class TestExport:
             trainer.export_embeddings(params, tiny_dataset(), "logits", config)
 
 
-def _traced_peak_mib(run):
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-
-
 class TestBatchMemory:
     """Forward-only loops keep only each batch's argmax, loss or aggregate,
     so a second batch of 64 does not add a whole batch's activations to
@@ -340,7 +330,7 @@ class TestBatchMemory:
             data = generate_synthetic(n_per_class=n_per_class, ch=8, t=64,
                                       sampling_rate=128.0, snr_db=10.0, seed=0)
             rows, labels, ch, t = trainer.preprocess(data, config)
-            return _traced_peak_mib({
+            return traced_peak_mib({
                 "predict_rows": lambda: trainer.predict_rows(rows, ch, t, params, config),
                 "dataset_loss": lambda: trainer._dataset_loss_and_accuracy(
                     rows, labels, ch, t, params, config),
@@ -360,7 +350,7 @@ class TestBatchMemory:
         def peak(n_per_class):
             data = generate_synthetic(n_per_class=n_per_class, ch=config.ch, t=config.t,
                                       sampling_rate=250.0, snr_db=10.0, seed=0)
-            return _traced_peak_mib(lambda: trainer.train(config, data))
+            return traced_peak_mib(lambda: trainer.train(config, data))
 
         one, two = peak(10), peak(20)
         assert two < 1.05 * one, f"one step {one:.2f} MiB, two steps {two:.2f} MiB"
