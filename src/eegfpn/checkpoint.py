@@ -75,10 +75,17 @@ def read_segments(path: str) -> list:
             name = take(name_len, f"segment {index} name").decode("ascii")
             rank = u32(f"segment {name!r} rank")
             dims = struct.unpack(f"<{rank}I", take(4 * rank, f"segment {name!r} dims"))
+
+            def payload(_):
+                try:
+                    return np.empty(dims, dtype="<f8")
+                except ValueError as exc:  # numpy's rank limit: 64, or 32 on numpy 1.x
+                    raise FormatError(f"{path}: segment {name!r} has rank {rank}: {exc}") from None
+
             # Exact integers: no header can wrap the size past the check.
-            payload = take(8 * math.prod(dims), f"segment {name!r} payload",
-                           lambda _: np.empty(dims, dtype="<f8"))
-            segments.append((name, payload))
+            segments.append(
+                (name, take(8 * math.prod(dims), f"segment {name!r} payload", payload))
+            )
         trailing = size - fh.tell()
     if trailing:
         raise FormatError(f"{path}: {trailing} trailing bytes after last segment")

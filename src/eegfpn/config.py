@@ -3,6 +3,7 @@ hyperparameter, with defaults for anything unset. Unknown keys are
 rejected so typos fail loudly."""
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .autoencoder import OUTPUT_ACTIVATIONS
@@ -62,16 +63,16 @@ class RunConfig:
             raise ConfigError(f"nsdru_hidden_channels must be >= 1, got {self.nsdru_hidden_channels}")
         if self.k < 1 or self.h < 1:
             raise ConfigError(f"need k >= 1 and h >= 1, got k={self.k}, h={self.h}")
-        if not self.lambda_recon >= 0:
-            raise ConfigError(f"lambda_recon must be >= 0, got {self.lambda_recon}")
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 <= self.lambda_recon < math.inf:
+            raise ConfigError(f"lambda_recon must be finite and >= 0, got {self.lambda_recon}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError(
                 f"beta1 and beta2 must lie in [0, 1), got {self.beta1} and {self.beta2}"
             )
-        if not self.adam_epsilon > 0:
-            raise ConfigError(f"adam_epsilon must be positive, got {self.adam_epsilon}")
+        if not 0 < self.adam_epsilon < math.inf:
+            raise ConfigError(f"adam_epsilon must be finite and positive, got {self.adam_epsilon}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:

@@ -35,17 +35,20 @@ def count_params(config: RunConfig) -> int:
 
 
 def count_flops(config: RunConfig) -> int:
-    """FLOPs for one epoch's forward pass under FLOP_CONVENTION."""
+    """FLOPs for one epoch's forward pass under FLOP_CONVENTION. Widths,
+    channel counts, GRU sizes and the branch count come off the declared
+    shapes; only the conv grids are stated here: the (ch, t) input and its
+    pooled half, whose columns are the GRU's time steps."""
     config.validate()
-    ch, t, c = config.ch, config.t, config.nsdru_hidden_channels
-    f, steps = ch // 2, t // 2
-    widths = [config.d, config.e1, config.e2, config.z,
-              config.e2, config.e1, config.d]
-    total = sum(dense_flops(a, b) for a, b in zip(widths[:-1], widths[1:]))
-    total += conv_flops(3, 3, 1, c, ch, t)
-    total += conv_flops(3, 3, c, 1, ch // 2, t // 2)
-    total += config.k * steps * gru_step_flops(f, config.h)
-    total += dense_flops(config.h, 2)
+    shapes = config_shapes(config, config.ch, config.t)
+    grid, pooled = (config.ch, config.t), (config.ch // 2, config.t // 2)
+    total = sum(dense_flops(shape[1], shape[0]) for name, shape in param_segments(shapes)
+                if name.startswith(("ae.w", "head.w")))
+    for (c_out, c_in, kh, kw), (rows, cols) in (
+        (shapes.nsdru.conv1_w, grid), (shapes.nsdru.conv2_w, pooled),
+    ):
+        total += conv_flops(kh, kw, c_in, c_out, rows, cols)
+    total += sum(pooled[1] * gru_step_flops(b.w_z[1], b.w_z[0]) for b in shapes.csie.branches)
     return total
 
 

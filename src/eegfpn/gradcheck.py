@@ -116,13 +116,10 @@ def check_csie(seed: int) -> GradCheckReport:
     )
 
 
-def check_full_pipeline(
-    seed: int, config: RunConfig = None, epsilon: float = FULL_PIPELINE_EPSILON,
-) -> GradCheckReport:
+def check_full_pipeline(seed: int) -> GradCheckReport:
     """Joint loss (cross-entropy + weighted reconstruction MSE) against
-    every trainable parameter at once."""
-    if config is None:
-        config = toy_config()
+    every trainable parameter at once, on toy_config()."""
+    config = toy_config()
     rng = np.random.default_rng(seed)
     params = init_model(config, config.ch, config.t, seed=seed)
     _jitter(params, rng)
@@ -136,7 +133,7 @@ def check_full_pipeline(
         params,
         lambda p: model_loss(forward(p), labels, config.lambda_recon),
         lambda p: model_backward(forward(p), labels, p, config.lambda_recon),
-        epsilon=epsilon,
+        epsilon=FULL_PIPELINE_EPSILON,
     )
 
 

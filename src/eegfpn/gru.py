@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ShapeError
-from .ops import sigmoid, tanh
+from .ops import sigmoid
 
 
 @dataclass
@@ -92,7 +92,7 @@ def gru_step(x_t, h_prev, p: GruBranchParams):
         )
     update = sigmoid(x_t @ p.w_z.T + h_prev @ p.u_z.T + p.b_z)
     reset = sigmoid(x_t @ p.w_r.T + h_prev @ p.u_r.T + p.b_r)
-    cand = tanh(x_t @ p.w_h.T + (reset * h_prev) @ p.u_h.T + p.b_h)
+    cand = np.tanh(x_t @ p.w_h.T + (reset * h_prev) @ p.u_h.T + p.b_h)
     h_new = (1.0 - update) * h_prev + update * cand
     return update, reset, cand, h_new
 
@@ -136,15 +136,6 @@ def aggregate(final_hiddens) -> np.ndarray:
         return base.copy()
     offsets = np.stack([v - base for v in arrays[1:]])
     return base + offsets.sum(axis=0) / len(arrays)
-
-
-def map_to_sequence(compressed: np.ndarray) -> np.ndarray:
-    """(n, 1, rows, cols) map -> (n, T=cols, f=rows) sequence: time runs
-    along the compressed time axis, features are compressed channels."""
-    x = np.asarray(compressed, dtype=np.float64)
-    if x.ndim != 4 or x.shape[1] != 1:
-        raise ShapeError(f"expected (n, 1, rows, cols) map, got shape {x.shape}")
-    return x[:, 0].transpose(0, 2, 1)
 
 
 def csie_forward(sequence: np.ndarray, p: CsieParams) -> CsieTrace:
@@ -213,8 +204,3 @@ def csie_backward(trace: CsieTrace, upstream: np.ndarray, p: CsieParams):
         grads.append(g)
         d_seq_total = d_seq if d_seq_total is None else d_seq_total + d_seq
     return CsieParams(branches=grads), d_seq_total
-
-
-def sequence_to_map_grad(d_sequence: np.ndarray) -> np.ndarray:
-    """Undo map_to_sequence for the gradient: (n, T, f) -> (n, 1, f, T)."""
-    return np.ascontiguousarray(d_sequence.transpose(0, 2, 1))[:, None, :, :]

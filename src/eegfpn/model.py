@@ -95,17 +95,24 @@ def model_forward(
     rows: np.ndarray, ch: int, t: int, params: ModelParams,
     output_activation: str = "relu",
 ) -> ModelTrace:
+    """The one check of a batch: (n, ch*t) rows, as wide as the model's
+    input. The reducer sees the reconstruction as (n, 1, ch, t) maps and
+    the ensemble sees act2's rows as features and its columns as time."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != ch * t:
         raise ShapeError(
             f"expected (n, {ch * t}) flattened batch for ch={ch}, t={t}, "
             f"got shape {rows.shape}"
         )
+    want = params.ae.w1.shape[1]
+    if ch * t != want:
+        raise ShapeError(
+            f"rows have width {ch * t} but the model was trained on width {want}"
+        )
+    n = rows.shape[0]
     ae_trace = ae.ae_forward(rows, params.ae, output_activation)
-    maps = reducer.reshape_to_map(ae_trace.recon, ch, t)
-    nsdru_trace = reducer.nsdru_forward(maps, params.nsdru)
-    sequence = gru.map_to_sequence(nsdru_trace.act2)
-    csie_trace = gru.csie_forward(sequence, params.csie)
+    nsdru_trace = reducer.nsdru_forward(ae_trace.recon.reshape(n, 1, ch, t), params.nsdru)
+    csie_trace = gru.csie_forward(nsdru_trace.act2[:, 0].transpose(0, 2, 1), params.csie)
     z = head_mod.logits(csie_trace.aggregate, params.head)
     return ModelTrace(
         ae=ae_trace, nsdru=nsdru_trace, csie=csie_trace,
@@ -135,7 +142,8 @@ def model_backward(
         d_logits, trace.csie.aggregate, params.head
     )
     csie_grads, d_seq = gru.csie_backward(trace.csie, d_features, params.csie)
-    d_map = gru.sequence_to_map_grad(d_seq)
+    # Back to (n, 1, f, T), contiguous, before the reducer's backward.
+    d_map = np.ascontiguousarray(d_seq.transpose(0, 2, 1))[:, None]
     nsdru_grads, d_maps = reducer.nsdru_backward(trace.nsdru, d_map, params.nsdru)
     d_recon = d_maps.reshape(n, -1)
     if lambda_recon != 0.0:

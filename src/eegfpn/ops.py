@@ -39,10 +39,6 @@ def sigmoid(x) -> np.ndarray:
     return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-def tanh(x) -> np.ndarray:
-    return np.tanh(as_f64(x))
-
-
 def softmax(logits, axis: int = -1) -> np.ndarray:
     """Softmax with max-subtraction so large logits cannot overflow."""
     o = as_f64(logits)

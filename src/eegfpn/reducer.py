@@ -39,16 +39,6 @@ class NsdruTrace:
     act2: np.ndarray
 
 
-def reshape_to_map(rows: np.ndarray, ch: int, t: int) -> np.ndarray:
-    """Invert the channel-major flattening into (n, 1, ch, t) maps."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != ch * t:
-        raise ShapeError(
-            f"rows of shape {rows.shape} are not (n, ch*t) with ch*t = {ch}*{t}"
-        )
-    return rows.reshape(rows.shape[0], 1, ch, t)
-
-
 def nsdru_forward(x: np.ndarray, p: NsdruParams) -> NsdruTrace:
     """Compress (n, 1, ch, t) maps to (n, 1, ch//2, t//2). Both ReLUs run
     in place on their convolution's output, so no second act1-sized

@@ -168,14 +168,14 @@ def _per_batch(rows, ch, t, params, config, keep, batch_size=64):
     ]
 
 
-def _dataset_loss_and_accuracy(rows, labels, ch, t, params, config, batch_size=64):
+def _dataset_loss_and_accuracy(rows, labels, ch, t, params, config):
     def score(trace, start):
-        y = labels[start:start + batch_size]
+        y = labels[start:start + trace.probs.shape[0]]
         return (model_loss(trace, y, config.lambda_recon) * y.shape[0],
                 int(np.sum(np.argmax(trace.probs, axis=-1) == y)))
 
     losses, hits, n = 0.0, 0, rows.shape[0]
-    for loss, hit in _per_batch(rows, ch, t, params, config, score, batch_size):
+    for loss, hit in _per_batch(rows, ch, t, params, config, score):
         losses += loss
         hits += hit
     return losses / n, hits / n
@@ -255,7 +255,6 @@ def predict_rows(rows, ch, t, params, config: RunConfig, batch_size=64):
 def evaluate_by_subject(params: ModelParams, epochs, config: RunConfig):
     """Metrics per distinct subject_id, sorted; list of (subject, Metrics)."""
     rows, labels, ch, t = preprocess(epochs, config)
-    _check_width(rows, params)
     preds = predict_rows(rows, ch, t, params, config)
     subjects = np.array([ep.subject_id for ep in epochs])
     out = []
@@ -268,15 +267,6 @@ def evaluate_by_subject(params: ModelParams, epochs, config: RunConfig):
     return out
 
 
-def _check_width(rows, params: ModelParams):
-    want = params.ae.w1.shape[1]
-    if rows.shape[1] != want:
-        raise ShapeError(
-            f"dataset rows have width {rows.shape[1]} but the checkpoint "
-            f"was trained on width {want}"
-        )
-
-
 def export_embeddings(params: ModelParams, epochs, stage: str, config: RunConfig) -> str:
     """CSV, one row per epoch: label first, then the feature vector.
     stage='raw' exports the flattened preprocessed epoch (d columns);
@@ -287,7 +277,6 @@ def export_embeddings(params: ModelParams, epochs, stage: str, config: RunConfig
     if stage == "raw":
         features = rows
     else:
-        _check_width(rows, params)
         features = np.concatenate(_per_batch(
             rows, ch, t, params, config, lambda trace, _: trace.csie.aggregate,
         ), axis=0)

@@ -74,14 +74,17 @@ class TestValidation:
         "h = 0\n",
         "lambda_recon = -0.1\n",
         "lambda_recon = nan\n",
+        "lambda_recon = inf\n",
         "learning_rate = 0\n",
         "learning_rate = nan\n",
+        "learning_rate = inf\n",
         "beta1 = 1.0\n",
         "beta1 = -0.1\n",
         "beta2 = 1.5\n",
         "beta2 = nan\n",
         "adam_epsilon = 0\n",
         "adam_epsilon = nan\n",
+        "adam_epsilon = inf\n",
         "f_low = 0\n",
         "f_low = 40\n",       # above f_high
         "filter_order = 3\n",

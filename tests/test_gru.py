@@ -160,16 +160,6 @@ class TestEnsemble:
             not np.array_equal(first, b.w_z) for b in params.branches[1:]
         )
 
-    def test_map_sequence_orientation(self):
-        # Map rows are features, columns are time steps.
-        compressed = np.arange(6.0).reshape(1, 1, 2, 3)
-        seq = gru.map_to_sequence(compressed)
-        assert seq.shape == (1, 3, 2)
-        np.testing.assert_array_equal(seq[0, 0], [0.0, 3.0])
-        np.testing.assert_array_equal(seq[0, 2], [2.0, 5.0])
-        back = gru.sequence_to_map_grad(seq)
-        np.testing.assert_array_equal(back, compressed)
-
 
 class TestBackward:
     @pytest.mark.parametrize("seed", [0, 1, 2])

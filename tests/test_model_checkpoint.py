@@ -31,6 +31,16 @@ def toy():
 _BRANCH = init_params(gru.branch_shapes(2, 3), seed=0)
 _HEAD = init_params(head.head_shapes(3), seed=0)
 _KERNELS = np.ones((1, 1, 3, 3))
+_MODEL = init_model(toy(), 4, 16, seed=0)
+
+def alive_forward():
+    """The toy model and its forward of three random rows, with conv2's
+    kernel made non-negative so that act2 is not dead for every input."""
+    params = init_model(toy(), 4, 16, seed=0)
+    params.nsdru.conv2_w[...] = np.abs(params.nsdru.conv2_w)
+    rows = np.random.default_rng(0).uniform(size=(3, 64))
+    return params, model_forward(rows, 4, 16, params, "linear")
+
 
 # Each layer entry point called with one sample and no batch axis.
 UNBATCHED_CALLS = {
@@ -44,7 +54,7 @@ UNBATCHED_CALLS = {
     "run_branch": lambda: gru.run_branch(np.zeros((5, 2)), _BRANCH),
     "logits": lambda: head.logits(np.zeros(3), _HEAD),
     "cross_entropy": lambda: head.cross_entropy(np.array([0.5, 0.5]), 0),
-    "reshape_to_map": lambda: reducer.reshape_to_map(np.zeros(6), 2, 3),
+    "model_forward": lambda: model_forward(np.zeros(64), 4, 16, _MODEL),
 }
 
 
@@ -87,6 +97,58 @@ class TestAssembly:
         params = init_model(toy(), 4, 16, seed=0)
         with pytest.raises(ShapeError):
             model_forward(np.zeros((2, 63)), 4, 16, params)
+        # 4 x 8 rows fit their grid but not a model trained on 4 x 16.
+        with pytest.raises(ShapeError, match=r"width 32 .*width 64"):
+            model_forward(np.zeros((2, 32)), 4, 8, params)
+
+    def test_reducer_sees_reconstruction_channel_major(self):
+        _, trace = alive_forward()
+        maps, recon = trace.nsdru.x[:, 0], trace.ae.recon
+        assert maps.shape == (3, 4, 16)
+        assert np.unique(recon).size == recon.size  # every index below means one value
+        # A row holds channel 0's 16 samples, then channel 1's, and so on.
+        np.testing.assert_array_equal(maps[:, 0, 0], recon[:, 0])
+        np.testing.assert_array_equal(maps[:, 0, 15], recon[:, 15])
+        np.testing.assert_array_equal(maps[:, 1, 0], recon[:, 16])
+        np.testing.assert_array_equal(maps[:, 2, 5], recon[:, 37])
+        np.testing.assert_array_equal(maps[:, 3, 15], recon[:, 63])
+
+    def test_ensemble_sees_map_rows_as_features(self):
+        _, trace = alive_forward()
+        act2 = trace.nsdru.act2[:, 0]  # 2 compressed channels by 8 time columns
+        inputs = trace.csie.branch_traces[0].inputs
+        assert inputs.shape == (3, 8, 2)
+        assert np.unique(act2).size == act2.size
+        # Step j is column j; its features are the map's rows.
+        np.testing.assert_array_equal(inputs[:, 0, 0], act2[:, 0, 0])
+        np.testing.assert_array_equal(inputs[:, 0, 1], act2[:, 1, 0])
+        np.testing.assert_array_equal(inputs[:, 3, 0], act2[:, 0, 3])
+        np.testing.assert_array_equal(inputs[:, 7, 1], act2[:, 1, 7])
+
+    def test_reducer_backward_gets_the_sequence_gradient_as_a_map(self, monkeypatch):
+        seen = {}
+        csie_backward, nsdru_backward = gru.csie_backward, reducer.nsdru_backward
+
+        def keep_sequence_grad(*args):
+            grads, seen["d_seq"] = csie_backward(*args)
+            return grads, seen["d_seq"]
+
+        def keep_map_grad(trace, upstream, p):
+            seen["d_map"] = upstream
+            return nsdru_backward(trace, upstream, p)
+
+        monkeypatch.setattr(gru, "csie_backward", keep_sequence_grad)
+        monkeypatch.setattr(reducer, "nsdru_backward", keep_map_grad)
+        params, trace = alive_forward()
+        model_backward(trace, [0, 1, 0], params, 0.1)
+        d_seq, d_map = seen["d_seq"], seen["d_map"]
+        assert d_seq.shape == (3, 8, 2)
+        assert d_map.shape == (3, 1, 2, 8) and d_map.flags.c_contiguous
+        assert np.unique(d_seq).size == d_seq.size
+        np.testing.assert_array_equal(d_map[:, 0, 0, 0], d_seq[:, 0, 0])
+        np.testing.assert_array_equal(d_map[:, 0, 1, 0], d_seq[:, 0, 1])
+        np.testing.assert_array_equal(d_map[:, 0, 0, 3], d_seq[:, 3, 0])
+        np.testing.assert_array_equal(d_map[:, 0, 1, 7], d_seq[:, 7, 1])
 
     @pytest.mark.parametrize("entry", sorted(UNBATCHED_CALLS))
     def test_layers_reject_unbatched_input(self, entry):
@@ -292,6 +354,16 @@ class TestCheckpoint:
             + struct.pack(f"<I{len(dims)}I", len(dims), *dims) + b"\x00" * 64
         )
         with pytest.raises(FormatError, match=r"huge\.cfpn: truncated .*'ae\.w1' payload"):
+            checkpoint.read_segments(str(path))
+
+    def test_rank_numpy_cannot_hold_named(self, tmp_path):
+        # Rank 65 is past numpy's limit: 64 on numpy 2, 32 on numpy 1.x.
+        path = tmp_path / "deep.cfpn"
+        path.write_bytes(
+            b"CFPN" + struct.pack("<II", 1, 1) + struct.pack("<B", 5) + b"ae.w1"
+            + struct.pack("<I65I", 65, *[1] * 65) + b"\x00" * 8
+        )
+        with pytest.raises(FormatError, match=r"deep\.cfpn: segment 'ae\.w1' has rank 65"):
             checkpoint.read_segments(str(path))
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")

@@ -29,22 +29,6 @@ def delta_passthrough():
     return p
 
 
-class TestReshape:
-    def test_inverts_flatten(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(3, 5))
-        maps = reducer.reshape_to_map(x.reshape(1, -1), 3, 5)
-        assert maps.shape == (1, 1, 3, 5)
-        np.testing.assert_array_equal(maps[0, 0], x)
-
-    def test_shape_example(self):
-        assert reducer.reshape_to_map(np.zeros((1, 6)), 2, 3).shape == (1, 1, 2, 3)
-
-    def test_width_mismatch(self):
-        with pytest.raises(ShapeError):
-            reducer.reshape_to_map(np.zeros((1, 7)), 2, 3)
-
-
 class TestForward:
     def test_halving_large(self):
         out = reducer.nsdru_forward(np.zeros((1, 1, 128, 400)), zeroed()).act2
