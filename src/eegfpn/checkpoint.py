@@ -72,7 +72,10 @@ def read_segments(path: str) -> list:
         segments = []
         for index in range(u32("segment count")):
             name_len = take(1, f"segment {index} name length")[0]
-            name = take(name_len, f"segment {index} name").decode("ascii")
+            try:
+                name = take(name_len, f"segment {index} name").decode("ascii")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: segment {index} name is not ASCII: {exc}") from None
             rank = u32(f"segment {name!r} rank")
             dims = struct.unpack(f"<{rank}I", take(4 * rank, f"segment {name!r} dims"))
 

@@ -47,8 +47,10 @@ class Epoch:
             raise ShapeError(f"epoch needs ch >= 1 and t >= 4, got ({ch}, {t})")
         if self.label not in (0, 1):
             raise ConfigError(f"label must be 0 or 1, got {self.label}")
-        if self.sampling_rate <= 0:
-            raise ConfigError(f"sampling_rate must be positive, got {self.sampling_rate}")
+        if not (math.isfinite(self.sampling_rate) and self.sampling_rate > 0):
+            raise ConfigError(
+                f"sampling_rate must be finite and positive, got {self.sampling_rate}"
+            )
 
 
 @dataclass
@@ -262,10 +264,18 @@ def write_epoch_file(epoch: Epoch, path: str):
     subject = epoch.subject_id.encode("utf-8")
     if len(subject) > 15:
         raise FormatError(f"subject_id {epoch.subject_id!r} exceeds 15 bytes")
-    header = _HEADER.pack(
-        EPOCH_MAGIC, EPOCH_VERSION, *epoch.samples.shape,
-        float(epoch.sampling_rate), epoch.label, subject,
-    )
+    try:
+        header = _HEADER.pack(
+            EPOCH_MAGIC, EPOCH_VERSION, *epoch.samples.shape,
+            float(epoch.sampling_rate), epoch.label, subject,
+        )
+    except OverflowError:
+        header = None
+    # A rate beyond float32's range cannot be packed; one below it packs as 0.
+    if header is None or _HEADER.unpack(header)[4] == 0.0:
+        raise FormatError(
+            f"{path}: sampling_rate {epoch.sampling_rate} does not fit the header's float32"
+        )
     # Channel-major whatever the layout (`filter` passes time-major samples).
     atomic_write(path, header, np.ascontiguousarray(epoch.samples, dtype="<f4"))
 
@@ -295,13 +305,15 @@ def read_epoch_file(path: str) -> Epoch:
             f"{path}: {len(payload) - expected} trailing bytes at offset "
             f"{_HEADER.size + expected}, after the payload"
         )
+    try:
+        subject_id = subject.rstrip(b"\x00").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: subject id at offset 21 is not UTF-8: {exc}") from None
     samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    return Epoch(
-        samples=samples.reshape(ch, t),
-        sampling_rate=float(fs),
-        label=int(label),
-        subject_id=subject.rstrip(b"\x00").decode("utf-8"),
-    )
+    try:
+        return Epoch(samples.reshape(ch, t), float(fs), int(label), subject_id)
+    except (ConfigError, ShapeError) as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def write_manifest(path: str, names: list):

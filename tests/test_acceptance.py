@@ -52,13 +52,11 @@ def test_criterion_2_shape_conformance():
         params = init_model(config, ch, t, seed=case)
         rows = rng.uniform(size=(2, ch * t))
         trace = model_forward(rows, ch, t, params)
+        e1, e2, z, d = config.e1, config.e2, config.z, ch * t
         chain = (
-            trace.ae.enc1.shape == (2, config.e1)
-            and trace.ae.enc2.shape == (2, config.e2)
-            and trace.ae.latent.shape == (2, config.z)
-            and trace.ae.dec1_skip.shape == (2, config.e2)
-            and trace.ae.dec2_skip.shape == (2, config.e1)
-            and trace.ae.recon.shape == (2, ch * t)
+            [o.shape for o in trace.ae.outs] == [(2, w) for w in (e1, e2, z, e2, e1, d)]
+            and [i.shape for i in trace.ae.inputs] == [(2, w) for w in (d, e1, e2, z, e2, e1)]
+            and trace.ae.recon.shape == (2, d)
             and trace.nsdru.act2.shape == (2, 1, ch // 2, t // 2)
             and trace.csie.aggregate.shape == (2, config.h)
             and trace.probs.shape == (2, 2)

@@ -8,6 +8,10 @@ from eegfpn import autoencoder as ae
 from eegfpn import gradcheck
 from eegfpn.errors import ConfigError, ShapeError
 from eegfpn.model import init_params, n_params
+from eegfpn.ops import relu, relu_grad, sigmoid
+
+
+PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4", "w5", "b5", "w6", "b6")
 
 
 def init_ae(dims: ae.AeDims, seed: int) -> ae.AeParams:
@@ -16,9 +20,92 @@ def init_ae(dims: ae.AeDims, seed: int) -> ae.AeParams:
 
 def zero_params(dims: ae.AeDims) -> ae.AeParams:
     p = init_ae(dims, seed=0)
-    for name in ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4", "w5", "b5", "w6", "b6"):
+    for name in PARAM_NAMES:
         getattr(p, name)[...] = 0.0
     return p
+
+
+def unrolled_forward(x, p, output_activation):
+    """The pyramid written out layer by layer: the algebra `ae_forward`'s
+    loop must reproduce bit for bit."""
+    def dense(v, w, b):
+        return v @ w.T + b
+
+    enc1 = relu(dense(x, p.w1, p.b1))
+    enc2 = relu(dense(enc1, p.w2, p.b2))
+    latent = relu(dense(enc2, p.w3, p.b3))
+    dec1 = relu(dense(latent, p.w4, p.b4))
+    dec1_skip = dec1 + enc2
+    dec2 = relu(dense(dec1_skip, p.w5, p.b5))
+    dec2_skip = dec2 + enc1
+    pre = dense(dec2_skip, p.w6, p.b6)
+    dec3 = relu(pre) if output_activation == "relu" else pre
+    return dict(
+        x=x, enc1=enc1, enc2=enc2, latent=latent, dec1=dec1, dec1_skip=dec1_skip,
+        dec2=dec2, dec2_skip=dec2_skip, dec3=dec3, recon=sigmoid(dec3),
+    )
+
+
+def unrolled_backward(a, d_recon, p, output_activation):
+    """The reverse of `unrolled_forward`, block by block, in the operand
+    order `ae_backward` must keep."""
+    d_dec3 = d_recon * a["recon"] * (1.0 - a["recon"])
+    if output_activation == "relu":
+        d_dec3 = relu_grad(a["dec3"], d_dec3)
+    d_w6, d_b6 = d_dec3.T @ a["dec2_skip"], d_dec3.sum(axis=0)
+    d_dec2_skip = d_dec3 @ p.w6
+    d_dec2 = relu_grad(a["dec2"], d_dec2_skip)
+    d_w5, d_b5 = d_dec2.T @ a["dec1_skip"], d_dec2.sum(axis=0)
+    d_dec1_skip = d_dec2 @ p.w5
+    d_dec1 = relu_grad(a["dec1"], d_dec1_skip)
+    d_w4, d_b4 = d_dec1.T @ a["latent"], d_dec1.sum(axis=0)
+    d_latent = d_dec1 @ p.w4
+    d_pre3 = relu_grad(a["latent"], d_latent)
+    d_w3, d_b3 = d_pre3.T @ a["enc2"], d_pre3.sum(axis=0)
+    d_enc2 = d_pre3 @ p.w3 + d_dec1_skip
+    d_pre2 = relu_grad(a["enc2"], d_enc2)
+    d_w2, d_b2 = d_pre2.T @ a["enc1"], d_pre2.sum(axis=0)
+    d_enc1 = d_pre2 @ p.w2 + d_dec2_skip
+    d_pre1 = relu_grad(a["enc1"], d_enc1)
+    d_w1, d_b1 = d_pre1.T @ a["x"], d_pre1.sum(axis=0)
+    return ae.AeParams(
+        w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2, w3=d_w3, b3=d_b3,
+        w4=d_w4, b4=d_b4, w5=d_w5, b5=d_b5, w6=d_w6, b6=d_b6,
+    )
+
+
+class TestAgainstUnrolled:
+    @pytest.mark.parametrize("output_activation", ae.OUTPUT_ACTIVATIONS)
+    @pytest.mark.parametrize("dims", [
+        ae.AeDims(d=12, e1=8, e2=6, z=3),
+        ae.AeDims(d=64),
+        ae.AeDims(d=9, e1=5, e2=5, z=5),
+    ], ids=str)
+    def test_bitwise_equal(self, dims, output_activation):
+        p = init_ae(dims, seed=dims.d)
+        rng = np.random.default_rng(dims.d)
+        for name in PARAM_NAMES[1::2]:  # biases that gate some ReLUs shut
+            getattr(p, name)[...] = rng.normal(scale=0.5, size=getattr(p, name).shape)
+        p.b6[...] = rng.normal(size=dims.d)  # both signs ahead of the output ReLU
+        x = rng.uniform(size=(7, dims.d))
+        d_recon = rng.normal(size=(7, dims.d))
+
+        trace = ae.ae_forward(x, p, output_activation)
+        ref = unrolled_forward(x, p, output_activation)
+        np.testing.assert_array_equal(trace.recon, ref["recon"])
+        for out, name in zip(trace.outs, ("enc1", "enc2", "latent", "dec1", "dec2", "dec3")):
+            np.testing.assert_array_equal(out, ref[name])
+        for inp, name in zip(trace.inputs, ("x", "enc1", "enc2", "latent", "dec1_skip", "dec2_skip")):
+            np.testing.assert_array_equal(inp, ref[name])
+        # The lists share the activations instead of copying them.
+        assert trace.inputs[0] is trace.x
+        assert all(trace.inputs[n] is trace.outs[n - 1] for n in (1, 2, 3))
+        assert 0.0 < np.mean(np.concatenate([o.ravel() for o in trace.outs]) > 0.0) < 1.0
+
+        got = ae.ae_backward(trace, d_recon, p)
+        want = unrolled_backward(ref, d_recon, p, output_activation)
+        for name in PARAM_NAMES:
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
 class TestInit:
@@ -58,26 +145,24 @@ class TestForward:
         rng = np.random.default_rng(0)
         x = rng.uniform(size=(5, 64))
         trace = ae.ae_forward(x, p)
-        assert trace.enc1.shape == (5, 128)
-        assert trace.enc2.shape == (5, 64)
-        assert trace.latent.shape == (5, 32)
-        assert trace.dec1.shape == (5, 64)
-        assert trace.dec2.shape == (5, 128)
+        assert [o.shape for o in trace.outs] == [
+            (5, 128), (5, 64), (5, 32), (5, 64), (5, 128), (5, 64)
+        ]
         assert trace.recon.shape == (5, 64)
 
     def test_zero_params_give_half_reconstruction(self):
         dims = ae.AeDims(d=6, e1=5, e2=4, z=2)
         trace = ae.ae_forward(np.random.default_rng(1).uniform(size=(3, 6)),
                               zero_params(dims))
-        np.testing.assert_array_equal(trace.enc1, 0.0)
-        np.testing.assert_array_equal(trace.latent, 0.0)
+        np.testing.assert_array_equal(trace.outs[0], 0.0)  # first encoder layer
+        np.testing.assert_array_equal(trace.outs[2], 0.0)  # bottleneck
         np.testing.assert_array_equal(trace.recon, 0.5)
 
     def test_bias_passthrough(self):
         dims = ae.AeDims(d=6, e1=5, e2=4, z=2)
         p = zero_params(dims)
         p.b1[...] = 3.25
-        enc1 = ae.ae_forward(np.zeros((2, 6)), p).enc1
+        enc1 = ae.ae_forward(np.zeros((2, 6)), p).outs[0]
         np.testing.assert_array_equal(enc1, 3.25)
 
     def test_skip_identity_when_decoder_layer_is_zero(self):
@@ -87,11 +172,13 @@ class TestForward:
         p.b4[...] = 0.0
         x = np.random.default_rng(3).uniform(size=(4, 6))
         trace = ae.ae_forward(x, p)
-        np.testing.assert_array_equal(trace.dec1_skip, trace.enc2)
+        # Layer 5 reads layer 4's output plus layer 2's.
+        np.testing.assert_array_equal(trace.inputs[4], trace.outs[1])
         p.w5[...] = 0.0
         p.b5[...] = 0.0
         trace = ae.ae_forward(x, p)
-        np.testing.assert_array_equal(trace.dec2_skip, trace.enc1)
+        # Layer 6 reads layer 5's output plus layer 1's.
+        np.testing.assert_array_equal(trace.inputs[5], trace.outs[0])
 
     def test_relu_mode_confines_reconstruction(self):
         p = init_ae(ae.AeDims(d=12, e1=8, e2=6, z=3), seed=5)
@@ -105,8 +192,9 @@ class TestForward:
     def test_nonnegative_relu_activations(self):
         p = init_ae(ae.AeDims(d=12, e1=8, e2=6, z=3), seed=9)
         trace = ae.ae_forward(np.random.default_rng(9).normal(size=(6, 12)), p)
-        for name in ("enc1", "enc2", "latent", "dec1", "dec2", "dec3"):
-            assert np.all(getattr(trace, name) >= 0.0), name
+        assert len(trace.outs) == 6
+        for n, out in enumerate(trace.outs, start=1):
+            assert np.all(out >= 0.0), n
 
     def test_width_mismatch_raises(self):
         p = init_ae(ae.AeDims(d=10, e1=8, e2=6, z=3), seed=0)
@@ -164,7 +252,7 @@ class TestBackward:
         x = np.random.default_rng(3).uniform(size=(3, 8))
         trace = ae.ae_forward(x, p, "linear")
         assert trace.output_activation == "linear"
-        assert np.all(trace.dec3 < 0.0)
+        assert np.all(trace.outs[5] < 0.0)  # the output layer, before the sigmoid
         g = ae.ae_backward(trace, np.ones_like(trace.recon), p)
         np.testing.assert_allclose(g.b6, (trace.recon * (1.0 - trace.recon)).sum(axis=0))
 

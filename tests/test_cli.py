@@ -57,6 +57,12 @@ class TestSynth:
         assert cli.main(["synth", "--out", "/tmp/x"]) == 1
         assert "required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fs", ["nan", "inf", "1e40"])
+    def test_unusable_rate_exits_2(self, tmp_path, capsys, fs):
+        assert cli.main(["synth", "--out", str(tmp_path / "d"), "--n", "1", "--fs", fs]) == 2
+        assert "sampling_rate" in capsys.readouterr().err
+        assert not any(name.endswith(".eeg") for name in os.listdir(tmp_path / "d"))
+
 
 class TestFilter:
     def test_filter_writes_new_dataset(self, tmp_path, dataset, capsys):

@@ -366,6 +366,15 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=r"deep\.cfpn: segment 'ae\.w1' has rank 65"):
             checkpoint.read_segments(str(path))
 
+    def test_non_ascii_name_named(self, tmp_path):
+        path = tmp_path / "latin.cfpn"
+        path.write_bytes(
+            b"CFPN" + struct.pack("<II", 1, 1) + struct.pack("<B", 2) + b"\xffa"
+            + struct.pack("<II", 1, 1) + b"\x00" * 8
+        )
+        with pytest.raises(FormatError, match=r"latin\.cfpn: segment 0 name is not ASCII"):
+            checkpoint.read_segments(str(path))
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_pipe_rejected(self, tmp_path):
         path = str(tmp_path / "model.cfpn")

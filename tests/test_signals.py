@@ -1,6 +1,8 @@
 """Signal path tests. Filter design is cross-checked against an
 independent SciPy implementation of the same Butterworth bandpass."""
 
+import struct
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -280,6 +282,38 @@ class TestEpochFiles:
         )
         with pytest.raises(FormatError):
             signals.write_epoch_file(epoch, str(tmp_path / "x.eeg"))
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ConfigError, match="sampling_rate must be finite and positive"):
+            Epoch(samples=np.zeros((1, 4)), sampling_rate=rate, label=0)
+
+    @pytest.mark.parametrize("rate", [1e40, 1e-50], ids=["overflows", "rounds-to-zero"])
+    def test_rate_float32_cannot_hold_rejected(self, tmp_path, rate):
+        path = str(tmp_path / "x.eeg")
+        epoch = Epoch(samples=np.zeros((1, 4)), sampling_rate=rate, label=0)
+        with pytest.raises(FormatError, match=r"x\.eeg: sampling_rate .* float32"):
+            signals.write_epoch_file(epoch, path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("offset,data,field", [
+        (20, b"\x02", "label must be 0 or 1, got 2"),
+        (16, struct.pack("<f", -1.0), "sampling_rate must be finite and positive, got -1.0"),
+        (16, struct.pack("<f", float("nan")), "sampling_rate must be finite and positive, got nan"),
+        (21, b"\xff", "subject id at offset 21 is not UTF-8"),
+        (8, bytes(4), r"ch >= 1"),
+    ], ids=["label", "negative-rate", "nan-rate", "subject", "channels"])
+    def test_header_rejection_names_file_and_field(self, tmp_path, offset, data, field):
+        path = tmp_path / "e.eeg"
+        epoch = Epoch(samples=np.zeros((2, 4)), sampling_rate=100.0, label=1, subject_id="ab")
+        signals.write_epoch_file(epoch, str(path))
+        blob = bytearray(path.read_bytes())
+        blob[offset:offset + len(data)] = data
+        if offset == 8:  # no channels: no payload either
+            blob = blob[:36]
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=rf"e\.eeg: .*{field}"):
+            signals.read_epoch_file(str(path))
 
     def test_manifest_roundtrip_with_comments(self, tmp_path):
         eps = signals.generate_synthetic(2, 2, 8, 100.0, 5.0, seed=4)
