@@ -56,20 +56,30 @@ def _load_config(path) -> RunConfig:
 # Command handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_synth(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
-    epochs = signals.generate_synthetic(
-        args.n, args.ch, args.t, args.fs, args.snr, args.seed
-    )
+def _write_dataset(out: str, named_epochs) -> int:
+    """Write (name, epoch) pairs and their manifest into `out`, making `out`
+    at the first write; if that write fails, a directory made here is removed."""
     names = []
-    for i, epoch in enumerate(epochs):
-        name = f"epoch_{i:05d}.eeg"
-        signals.write_epoch_file(epoch, os.path.join(args.out, name))
+    for name, epoch in named_epochs:
+        made = not (names or os.path.isdir(out))
+        if made:
+            os.makedirs(out)
+        try:
+            signals.write_epoch_file(epoch, os.path.join(out, name))
+        except BaseException:
+            if made:
+                os.rmdir(out)
+            raise
         names.append(name)
-    manifest = os.path.join(args.out, "manifest.txt")
+    manifest = os.path.join(out, "manifest.txt")
     signals.write_manifest(manifest, names)
     print(manifest)
     return EXIT_OK
+
+
+def _cmd_synth(args) -> int:
+    epochs = signals.generate_synthetic(args.n, args.ch, args.t, args.fs, args.snr, args.seed)
+    return _write_dataset(args.out, ((f"epoch_{i:05d}.eeg", e) for i, e in enumerate(epochs)))
 
 
 def _cmd_filter(args) -> int:
@@ -78,20 +88,13 @@ def _cmd_filter(args) -> int:
     if not epochs:
         raise ConfigError(f"manifest {args.data} lists no epochs")
     spec = signals.FilterSpec(config.f_low, config.f_high, config.filter_order)
-    os.makedirs(args.out, exist_ok=True)
-    names = []
-    for path, epoch in zip(signals.read_manifest(args.data), epochs):
-        name = os.path.basename(path)
-        cascade = signals.design_bandpass(spec, epoch.sampling_rate)
-        filtered = dataclasses.replace(
-            epoch, samples=signals.apply_bandpass(epoch.samples, cascade)
-        )
-        signals.write_epoch_file(filtered, os.path.join(args.out, name))
-        names.append(name)
-    manifest = os.path.join(args.out, "manifest.txt")
-    signals.write_manifest(manifest, names)
-    print(manifest)
-    return EXIT_OK
+
+    def filtered():
+        for path, epoch in zip(signals.read_manifest(args.data), epochs):
+            cascade = signals.design_bandpass(spec, epoch.sampling_rate)
+            samples = signals.apply_bandpass(epoch.samples, cascade)
+            yield os.path.basename(path), dataclasses.replace(epoch, samples=samples)
+    return _write_dataset(args.out, filtered())
 
 
 def _cmd_train(args) -> int:

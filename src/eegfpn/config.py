@@ -81,6 +81,8 @@ class RunConfig:
             raise ConfigError(
                 f"split_fraction must lie in (0, 1), got {self.split_fraction}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
 

@@ -11,7 +11,9 @@ algebra, per step:
     next    h = (1 - z) * h_prev + z * c
 
 so the new state is a convex combination of the previous state and the
-candidate, with the update gate weighting the candidate.
+candidate, with the update gate weighting the candidate. Backward, each
+gate's pre-activation gradient d_a gives w += d_a^T x, u += d_a^T h_in
+and b += sum(d_a), with h_in = h_prev for z and r, r * h_prev for c.
 """
 
 from dataclasses import dataclass, fields
@@ -150,7 +152,8 @@ def _branch_backward(trace: BranchTrace, upstream: np.ndarray, p: GruBranchParam
     d_sequence)."""
     seq = trace.inputs
     n, steps, _ = seq.shape
-    g = GruBranchParams(**{f.name: np.zeros_like(getattr(p, f.name)) for f in fields(p)})
+    grads = [np.zeros_like(getattr(p, f.name)) for f in fields(p)]
+    gates = [grads[i:i + 3] for i in range(0, len(grads), 3)]  # (w, u, b) of z, r, h
     d_seq = np.zeros_like(seq)
     d_h = np.asarray(upstream, dtype=np.float64)
     if d_h.shape != (n, p.hidden_size):
@@ -161,34 +164,19 @@ def _branch_backward(trace: BranchTrace, upstream: np.ndarray, p: GruBranchParam
         x_t = seq[:, t]
         h_prev = trace.hiddens[:, t]
         z_t, r_t, c_t = trace.update[:, t], trace.reset[:, t], trace.cand[:, t]
-
-        d_z = d_h * (c_t - h_prev)
-        d_c = d_h * z_t
-        d_h_prev = d_h * (1.0 - z_t)
-
-        d_a_h = d_c * (1.0 - c_t * c_t)
-        g.w_h += d_a_h.T @ x_t
-        g.u_h += d_a_h.T @ (r_t * h_prev)
-        g.b_h += d_a_h.sum(axis=0)
+        # Gradients at the gate pre-activations.
+        d_a_z = d_h * (c_t - h_prev) * z_t * (1.0 - z_t)
+        d_a_h = d_h * z_t * (1.0 - c_t * c_t)
         d_rh = d_a_h @ p.u_h
-        d_r = d_rh * h_prev
-        d_h_prev += d_rh * r_t
-
-        d_a_z = d_z * z_t * (1.0 - z_t)
-        g.w_z += d_a_z.T @ x_t
-        g.u_z += d_a_z.T @ h_prev
-        g.b_z += d_a_z.sum(axis=0)
-        d_h_prev += d_a_z @ p.u_z
-
-        d_a_r = d_r * r_t * (1.0 - r_t)
-        g.w_r += d_a_r.T @ x_t
-        g.u_r += d_a_r.T @ h_prev
-        g.b_r += d_a_r.sum(axis=0)
-        d_h_prev += d_a_r @ p.u_r
-
+        d_a_r = d_rh * h_prev * r_t * (1.0 - r_t)
+        d_as, h_ins = (d_a_z, d_a_r, d_a_h), (h_prev, h_prev, r_t * h_prev)
+        for (g_w, g_u, g_b), d_a, h_in in zip(gates, d_as, h_ins):
+            g_w += d_a.T @ x_t
+            g_u += d_a.T @ h_in
+            g_b += d_a.sum(axis=0)
         d_seq[:, t] = d_a_z @ p.w_z + d_a_r @ p.w_r + d_a_h @ p.w_h
-        d_h = d_h_prev
-    return g, d_seq
+        d_h = d_h * (1.0 - z_t) + d_rh * r_t + d_a_z @ p.u_z + d_a_r @ p.u_r
+    return GruBranchParams(*grads), d_seq
 
 
 def csie_backward(trace: CsieTrace, upstream: np.ndarray, p: CsieParams):

@@ -263,7 +263,7 @@ def atomic_write(path: str, *chunks):
 def write_epoch_file(epoch: Epoch, path: str):
     subject = epoch.subject_id.encode("utf-8")
     if len(subject) > 15:
-        raise FormatError(f"subject_id {epoch.subject_id!r} exceeds 15 bytes")
+        raise FormatError(f"{path}: subject_id {epoch.subject_id!r} exceeds 15 bytes")
     try:
         header = _HEADER.pack(
             EPOCH_MAGIC, EPOCH_VERSION, *epoch.samples.shape,

@@ -61,7 +61,20 @@ class TestSynth:
     def test_unusable_rate_exits_2(self, tmp_path, capsys, fs):
         assert cli.main(["synth", "--out", str(tmp_path / "d"), "--n", "1", "--fs", fs]) == 2
         assert "sampling_rate" in capsys.readouterr().err
-        assert not any(name.endswith(".eeg") for name in os.listdir(tmp_path / "d"))
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--ch", "0"), ("--t", "3"), ("--n", "0")])
+    def test_rejected_shape_leaves_no_directory(self, tmp_path, capsys, flag, value):
+        argv = ["synth", "--out", str(tmp_path / "d"), "--n", "1", flag, value]
+        assert cli.main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_rejected_run_keeps_existing_empty_directory(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        out.mkdir()
+        assert cli.main(["synth", "--out", str(out), "--n", "1", "--fs", "1e40"]) == 2
+        assert out.is_dir() and os.listdir(out) == []
 
 
 class TestFilter:
@@ -96,6 +109,14 @@ class TestFilter:
             ).astype("<f4")
             got = signals.read_epoch_file(str(out / name)).samples
             np.testing.assert_array_equal(got, want)
+
+    def test_band_above_nyquist_leaves_no_directory(self, tmp_path, capsys):
+        src = tmp_path / "slow"
+        assert cli.main(["synth", "--out", str(src), "--n", "1", "--fs", "50"]) == 0
+        out = tmp_path / "filtered"
+        assert cli.main(["filter", "--data", str(src / "manifest.txt"), "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_manifest_exits_2(self, tmp_path, capsys):
         code = cli.main(["filter", "--data", str(tmp_path / "no.txt"),

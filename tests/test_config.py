@@ -93,6 +93,7 @@ class TestValidation:
         "split_fraction = 1.0\n",
         "ae_output_activation = softplus\n",
         "nsdru_hidden_channels = 0\n",
+        "seed = -1\n",
     ])
     def test_rejected_settings(self, tmp_path, text):
         with pytest.raises(ConfigError):

@@ -1,6 +1,8 @@
 """GRU ensemble: closed-form recursions, gate bounds, aggregation
 algebra, and backpropagation through time."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,47 @@ def init_branch(f: int, h: int, seed: int) -> gru.GruBranchParams:
 
 def init_csie(f: int, h: int, k: int, seed: int) -> gru.CsieParams:
     return init_params(gru.csie_shapes(f, h, k), seed)
+
+
+def reference_branch_backward(trace, upstream, p):
+    """The backward written out gate by gate, as it stood before the gate
+    loop; the loop must reproduce it bitwise."""
+    seq = trace.inputs
+    g = gru.GruBranchParams(**{f.name: np.zeros_like(getattr(p, f.name)) for f in fields(p)})
+    d_seq = np.zeros_like(seq)
+    d_h = np.asarray(upstream, dtype=np.float64)
+    for t in range(seq.shape[1] - 1, -1, -1):
+        x_t = seq[:, t]
+        h_prev = trace.hiddens[:, t]
+        z_t, r_t, c_t = trace.update[:, t], trace.reset[:, t], trace.cand[:, t]
+
+        d_z = d_h * (c_t - h_prev)
+        d_c = d_h * z_t
+        d_h_prev = d_h * (1.0 - z_t)
+
+        d_a_h = d_c * (1.0 - c_t * c_t)
+        g.w_h += d_a_h.T @ x_t
+        g.u_h += d_a_h.T @ (r_t * h_prev)
+        g.b_h += d_a_h.sum(axis=0)
+        d_rh = d_a_h @ p.u_h
+        d_r = d_rh * h_prev
+        d_h_prev += d_rh * r_t
+
+        d_a_z = d_z * z_t * (1.0 - z_t)
+        g.w_z += d_a_z.T @ x_t
+        g.u_z += d_a_z.T @ h_prev
+        g.b_z += d_a_z.sum(axis=0)
+        d_h_prev += d_a_z @ p.u_z
+
+        d_a_r = d_r * r_t * (1.0 - r_t)
+        g.w_r += d_a_r.T @ x_t
+        g.u_r += d_a_r.T @ h_prev
+        g.b_r += d_a_r.sum(axis=0)
+        d_h_prev += d_a_r @ p.u_r
+
+        d_seq[:, t] = d_a_z @ p.w_z + d_a_r @ p.w_r + d_a_h @ p.w_h
+        d_h = d_h_prev
+    return g, d_seq
 
 
 def zero_branch(f=2, h=3) -> gru.GruBranchParams:
@@ -185,6 +228,30 @@ class TestBackward:
         np.testing.assert_array_equal(d_seq, 0.0)
         for _, g in param_segments(grads):
             np.testing.assert_array_equal(g, 0.0)
+
+    @pytest.mark.parametrize("n, steps, f, h, k, b_z", [
+        (1, 1, 2, 3, 1, None),    # one branch, one step
+        (3, 9, 3, 5, 3, 40.0),    # update gate saturated at ~1
+        (4, 12, 4, 32, 2, None),  # the train shape's f and h
+    ])
+    def test_gate_loop_matches_per_gate_reference_bitwise(self, n, steps, f, h, k, b_z):
+        params = init_csie(f, h, k, seed=steps)
+        if b_z is not None:
+            for branch in params.branches:
+                branch.b_z[...] = b_z
+        rng = np.random.default_rng(steps)
+        seq = rng.normal(size=(n, steps, f))
+        upstream = rng.normal(size=(n, h))
+        trace = gru.csie_forward(seq, params)
+        grads, d_seq = gru.csie_backward(trace, upstream, params)
+        share = upstream / k
+        want_d_seq = None
+        for branch_trace, branch, got in zip(trace.branch_traces, params.branches, grads.branches):
+            want, d = reference_branch_backward(branch_trace, share, branch)
+            for (name, a), (_, b) in zip(param_segments(got), param_segments(want)):
+                np.testing.assert_array_equal(a, b, err_msg=name)
+            want_d_seq = d if want_d_seq is None else want_d_seq + d
+        np.testing.assert_array_equal(d_seq, want_d_seq)
 
     def test_param_count(self):
         p = init_branch(2, 4, seed=0)

@@ -280,7 +280,7 @@ class TestEpochFiles:
             samples=np.zeros((1, 4)), sampling_rate=10.0, label=0,
             subject_id="x" * 16,
         )
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=r"x\.eeg: subject_id"):
             signals.write_epoch_file(epoch, str(tmp_path / "x.eeg"))
 
     @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
