@@ -56,19 +56,30 @@ def _load_config(path) -> RunConfig:
 # Command handlers
 # ---------------------------------------------------------------------------
 
+def _missing_dirs(path: str) -> list:
+    """`path` and each ancestor up to the first that exists, deepest first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
 def _write_dataset(out: str, named_epochs) -> int:
     """Write (name, epoch) pairs and their manifest into `out`, making `out`
-    at the first write; if that write fails, a directory made here is removed."""
+    and its missing parents at the first write; if that write fails, the
+    directories made here are removed."""
     names = []
     for name, epoch in named_epochs:
-        made = not (names or os.path.isdir(out))
+        made = [] if names else _missing_dirs(out)
         if made:
             os.makedirs(out)
         try:
             signals.write_epoch_file(epoch, os.path.join(out, name))
         except BaseException:
-            if made:
-                os.rmdir(out)
+            for path in made:
+                os.rmdir(path)
             raise
         names.append(name)
     manifest = os.path.join(out, "manifest.txt")
@@ -77,8 +88,15 @@ def _write_dataset(out: str, named_epochs) -> int:
     return EXIT_OK
 
 
+def _seed(args) -> int:
+    """The --seed flag; numpy's own rejection of a negative one names no flag."""
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
 def _cmd_synth(args) -> int:
-    epochs = signals.generate_synthetic(args.n, args.ch, args.t, args.fs, args.snr, args.seed)
+    epochs = signals.generate_synthetic(args.n, args.ch, args.t, args.fs, args.snr, _seed(args))
     return _write_dataset(args.out, ((f"epoch_{i:05d}.eeg", e) for i, e in enumerate(epochs)))
 
 
@@ -129,7 +147,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    reports = gradcheck.run_suite(args.seed)
+    reports = gradcheck.run_suite(_seed(args))
     worst = 0.0
     for stage, report in reports.items():
         print(f"{stage} max_relative_error={report.max_relative_error:.6e}")

@@ -5,6 +5,7 @@ import math
 
 from .config import RunConfig
 from .model import config_shapes, param_segments
+from .reducer import pooled_grid
 
 FLOP_CONVENTION = (
     "MAC = 2 FLOPs; dense in->out = 2*in*out + out; "
@@ -37,11 +38,11 @@ def count_params(config: RunConfig) -> int:
 def count_flops(config: RunConfig) -> int:
     """FLOPs for one epoch's forward pass under FLOP_CONVENTION. Widths,
     channel counts, GRU sizes and the branch count come off the declared
-    shapes; only the conv grids are stated here: the (ch, t) input and its
-    pooled half, whose columns are the GRU's time steps."""
+    shapes, and the conv grids are the (ch, t) input and the reducer's
+    pooled grid, whose columns are the GRU's time steps."""
     config.validate()
     shapes = config_shapes(config, config.ch, config.t)
-    grid, pooled = (config.ch, config.t), (config.ch // 2, config.t // 2)
+    grid, pooled = (config.ch, config.t), pooled_grid(config.ch, config.t)
     total = sum(dense_flops(shape[1], shape[0]) for name, shape in param_segments(shapes)
                 if name.startswith(("ae.w", "head.w")))
     for (c_out, c_in, kh, kw), (rows, cols) in (

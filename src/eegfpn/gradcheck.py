@@ -1,7 +1,9 @@
 """Finite-difference verification harnesses for each stage and for the
-whole pipeline, all built on ops.grad_check. The CLI's gradcheck command
+whole pipeline, all built on grad_check. The CLI's gradcheck command
 and the test suite share these so there is exactly one definition of
 what "gradients verified" means."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -9,6 +11,7 @@ from . import autoencoder as ae
 from . import gru
 from . import reducer
 from .config import RunConfig
+from .errors import NumericError, ShapeError
 from .model import (
     init_model,
     init_params,
@@ -19,7 +22,6 @@ from .model import (
     param_segments,
     unpack_params,
 )
-from .ops import GradCheckReport, grad_check
 
 GRAD_TOLERANCE = 1e-4
 
@@ -53,20 +55,55 @@ def _jitter(params, rng, scale=HARNESS_JITTER):
         arr += rng.uniform(-scale, scale, size=arr.shape)
 
 
-def _check(params, loss_of, grads_of, epsilon=1e-5) -> GradCheckReport:
-    """grad_check over every array of `params`, packed in segment order.
-    `loss_of(p)` and `grads_of(p)` take parameters of params' type;
-    grads_of returns its gradients in that same type."""
-    return grad_check(
-        lambda theta: loss_of(unpack_params(theta, params)),
-        lambda theta: pack_params(grads_of(unpack_params(theta, params))),
-        pack_params(params),
-        epsilon=epsilon,
+@dataclass
+class GradCheckReport:
+    max_relative_error: float
+    worst_parameter_index: int
+    epsilon_used: float
+
+
+def grad_check(params, loss_of, grads_of, epsilon: float = 1e-5) -> GradCheckReport:
+    """Compare the analytic gradient of every array of `params` against
+    central finite differences, parameter by parameter in segment order.
+
+    `loss_of(p) -> float` must be deterministic; `grads_of(p)` returns the
+    analytic gradients in p's type. Both take parameters of params' type.
+    The per-element relative error is |a - n| / max(|a|, |n|, 1e-8), and
+    the worst index counts into the packed segments.
+    """
+    if epsilon <= 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    theta = pack_params(params)
+    analytic = pack_params(grads_of(unpack_params(theta, params)))
+    if analytic.shape != theta.shape:
+        raise ShapeError(
+            f"analytic gradient shape {analytic.shape} differs from parameters {theta.shape}"
+        )
+    worst = 0.0
+    worst_idx = 0
+    for i in range(theta.size):
+        bumped = theta.copy()
+        bumped[i] = theta[i] + epsilon
+        f_plus = float(loss_of(unpack_params(bumped, params)))
+        bumped[i] = theta[i] - epsilon
+        f_minus = float(loss_of(unpack_params(bumped, params)))
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            raise NumericError(f"loss is non-finite near parameter index {i}")
+        numeric = (f_plus - f_minus) / (2.0 * epsilon)
+        a = analytic[i]
+        rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+        if rel > worst:
+            worst = rel
+            worst_idx = i
+    return GradCheckReport(
+        max_relative_error=worst,
+        worst_parameter_index=worst_idx,
+        epsilon_used=epsilon,
     )
 
 
 def _check_mse(params, target, forward, output, backward) -> GradCheckReport:
-    """_check of the MSE between `forward(p)`'s `output` attribute and
+    """grad_check of the MSE between `forward(p)`'s `output` attribute and
     `target`; `backward(trace, upstream, p)` returns the gradients."""
     def loss_of(p):
         return float(np.mean((getattr(forward(p), output) - target) ** 2))
@@ -75,7 +112,7 @@ def _check_mse(params, target, forward, output, backward) -> GradCheckReport:
         trace = forward(p)
         return backward(trace, 2.0 * (getattr(trace, output) - target) / target.size, p)
 
-    return _check(params, loss_of, grads_of)
+    return grad_check(params, loss_of, grads_of)
 
 
 def check_autoencoder(seed: int, output_activation: str = "relu") -> GradCheckReport:
@@ -129,7 +166,7 @@ def check_full_pipeline(seed: int) -> GradCheckReport:
     def forward(p):
         return model_forward(rows, config.ch, config.t, p, config.ae_output_activation)
 
-    return _check(
+    return grad_check(
         params,
         lambda p: model_loss(forward(p), labels, config.lambda_recon),
         lambda p: model_backward(forward(p), labels, p, config.lambda_recon),

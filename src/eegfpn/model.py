@@ -54,7 +54,8 @@ def param_shapes(dims: ae.AeDims, c: int, f: int, h: int, k: int) -> ModelParams
 def config_shapes(config: RunConfig, ch: int, t: int) -> ModelParams:
     """The shapes of `config`'s model on a (ch, t) epoch grid."""
     dims = ae.AeDims(d=ch * t, e1=config.e1, e2=config.e2, z=config.z)
-    return param_shapes(dims, config.nsdru_hidden_channels, ch // 2, config.h, config.k)
+    features, _ = reducer.pooled_grid(ch, t)
+    return param_shapes(dims, config.nsdru_hidden_channels, features, config.h, config.k)
 
 
 def init_params(shapes, seed: int):

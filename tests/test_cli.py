@@ -8,7 +8,7 @@ import pytest
 
 from eegfpn import checkpoint, cli, gradcheck, model, signals
 from eegfpn.config import parse_config
-from eegfpn.ops import GradCheckReport
+from eegfpn.gradcheck import GradCheckReport
 
 TINY_CONFIG = """
 ch = 4
@@ -75,6 +75,29 @@ class TestSynth:
         out.mkdir()
         assert cli.main(["synth", "--out", str(out), "--n", "1", "--fs", "1e40"]) == 2
         assert out.is_dir() and os.listdir(out) == []
+
+    def test_rejected_run_removes_the_parents_it_made(self, tmp_path, capsys):
+        (tmp_path / "kept").mkdir()
+        for out in (tmp_path / "a" / "b", tmp_path / "kept" / "c" / "d"):
+            assert cli.main(["synth", "--out", str(out), "--n", "1", "--fs", "1e40"]) == 2
+        assert os.listdir(tmp_path) == ["kept"]
+        assert os.listdir(tmp_path / "kept") == []
+
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys):
+        assert cli.main(["synth", "--out", str(tmp_path / "d"), "--n", "1", "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("snr", ["nan", "-inf", "-1e308", "4000"])
+    def test_snr_without_finite_noise_level_exits_2(self, tmp_path, capsys, snr):
+        assert cli.main(["synth", "--out", str(tmp_path / "d"), "--n", "1", f"--snr={snr}"]) == 2
+        assert "snr_db" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_infinite_snr_accepted(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert cli.main(["synth", "--out", str(out), "--n", "1", "--snr", "inf"]) == 0
+        assert len(signals.load_dataset(str(out / "manifest.txt"))) == 2
 
 
 class TestFilter:
@@ -213,6 +236,10 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "max_relative_error" in out
         assert "full_pipeline" in out
+
+    def test_negative_seed_names_the_flag(self, capsys):
+        assert cli.main(["gradcheck", "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_failure_exits_3(self, monkeypatch, capsys):
         def fake_suite(seed):

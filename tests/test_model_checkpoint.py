@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from eegfpn import checkpoint, gradcheck, gru, head, ops, reducer
+from eegfpn import checkpoint, gradcheck, gru, head, reducer
 from eegfpn.config import RunConfig
 from eegfpn.errors import FormatError, ShapeError
 from eegfpn.model import (
@@ -30,7 +30,6 @@ def toy():
 
 _BRANCH = init_params(gru.branch_shapes(2, 3), seed=0)
 _HEAD = init_params(head.head_shapes(3), seed=0)
-_KERNELS = np.ones((1, 1, 3, 3))
 _MODEL = init_model(toy(), 4, 16, seed=0)
 
 def alive_forward():
@@ -44,12 +43,7 @@ def alive_forward():
 
 # Each layer entry point called with one sample and no batch axis.
 UNBATCHED_CALLS = {
-    "conv2d": lambda: ops.conv2d(np.zeros((1, 4, 4)), _KERNELS, np.zeros(1)),
-    "conv2d_backward": lambda: ops.conv2d_backward(
-        np.zeros((1, 4, 4)), np.zeros((1, 4, 4)), _KERNELS),
-    "maxpool2d": lambda: ops.maxpool2d(np.zeros((1, 4, 4))),
-    "maxpool2d_backward": lambda: ops.maxpool2d_backward(
-        np.zeros((1, 2, 2)), np.zeros((1, 4, 4)), np.zeros((1, 2, 2))),
+    "nsdru_forward": lambda: reducer.nsdru_forward(np.zeros((1, 4, 4)), _MODEL.nsdru),
     "gru_step": lambda: gru.gru_step(np.zeros(2), np.zeros(3), _BRANCH),
     "run_branch": lambda: gru.run_branch(np.zeros((5, 2)), _BRANCH),
     "logits": lambda: head.logits(np.zeros(3), _HEAD),

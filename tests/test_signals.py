@@ -223,6 +223,20 @@ class TestSyntheticData:
         x = eps[0].samples
         np.testing.assert_array_equal(x, x.astype(np.float32).astype(np.float64))
 
+    @pytest.mark.parametrize("snr_db", [float("nan"), -np.inf, -1e308, 4000.0])
+    def test_snr_without_finite_noise_level_rejected(self, snr_db):
+        with pytest.raises(ConfigError, match="snr_db"):
+            signals.generate_synthetic(1, 2, 32, 250.0, snr_db, seed=1)
+
+    def test_infinite_snr_gives_noise_free_tones(self):
+        eps = signals.generate_synthetic(1, 2, 32, 250.0, np.inf, seed=1)
+        times = np.arange(32) / 250.0
+        for epoch, tone in zip(eps, (6.0, 20.0)):
+            basis = np.vstack([np.sin(2 * np.pi * tone * times), np.cos(2 * np.pi * tone * times)]).T
+            for row in epoch.samples:
+                coef, *_ = np.linalg.lstsq(basis, row, rcond=None)
+                np.testing.assert_allclose(basis @ coef, row, atol=1e-5)
+
 
 class TestEpochFiles:
     def test_roundtrip_bitwise(self, tmp_path):
