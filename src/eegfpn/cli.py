@@ -88,15 +88,8 @@ def _write_dataset(out: str, named_epochs) -> int:
     return EXIT_OK
 
 
-def _seed(args) -> int:
-    """The --seed flag; numpy's own rejection of a negative one names no flag."""
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    return args.seed
-
-
 def _cmd_synth(args) -> int:
-    epochs = signals.generate_synthetic(args.n, args.ch, args.t, args.fs, args.snr, _seed(args))
+    epochs = signals.generate_synthetic(args.n, args.ch, args.t, args.fs, args.snr, args.seed)
     return _write_dataset(args.out, ((f"epoch_{i:05d}.eeg", e) for i, e in enumerate(epochs)))
 
 
@@ -147,7 +140,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    reports = gradcheck.run_suite(_seed(args))
+    reports = gradcheck.run_suite(args.seed)
     worst = 0.0
     for stage, report in reports.items():
         print(f"{stage} max_relative_error={report.max_relative_error:.6e}")
@@ -248,6 +241,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:
+            # numpy's own rejection of a negative seed names no flag
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

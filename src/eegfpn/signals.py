@@ -192,23 +192,6 @@ def minmax_normalize(x: np.ndarray) -> np.ndarray:
 # Synthetic data
 # ---------------------------------------------------------------------------
 
-def _noise_std(snr_db: float) -> float:
-    """Standard deviation of white noise `snr_db` dB below a tone of
-    amplitude SYNTH_AMPLITUDE_UV; zero at inf. A level whose tone-to-noise
-    power ratio is NaN, zero or beyond float64 is rejected."""
-    if snr_db == math.inf:
-        return 0.0
-    try:
-        ratio = 10.0 ** (snr_db / 10.0)
-    except OverflowError:
-        ratio = math.inf
-    if not 0.0 < ratio < math.inf:
-        raise ConfigError(
-            f"snr_db must be inf or give a finite, non-zero noise level, got {snr_db}"
-        )
-    return SYNTH_AMPLITUDE_UV / math.sqrt(2.0 * ratio)
-
-
 def generate_synthetic(
     n_per_class: int,
     ch: int,
@@ -220,15 +203,23 @@ def generate_synthetic(
 ) -> list:
     """Balanced two-class dataset: 6 Hz tone epochs (label 0) and 20 Hz
     tone epochs (label 1), each channel with random phase plus white
-    noise at the requested SNR.
+    noise at the requested SNR (inf for noise-free tones).
 
     Samples are quantized to float32 resolution so epoch files round-trip
     bit-exactly. Deterministic for a given seed.
     """
     if n_per_class < 1:
         raise ConfigError(f"n_per_class must be >= 1, got {n_per_class}")
-    noise_std = _noise_std(snr_db)
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)  # tone-to-noise power
+    except OverflowError:
+        ratio = math.inf
+    if not (0.0 < ratio < math.inf or snr_db == math.inf):
+        raise ConfigError(
+            f"snr_db must be inf or give a finite, non-zero noise level, got {snr_db}"
+        )
     rng = np.random.default_rng(seed)
+    noise_std = SYNTH_AMPLITUDE_UV / math.sqrt(2.0 * ratio)
     times = np.arange(t) / sampling_rate
     epochs = []
     for label, tone in ((0, CLASS0_TONE_HZ), (1, CLASS1_TONE_HZ)):

@@ -232,7 +232,8 @@ class TestSyntheticData:
         eps = signals.generate_synthetic(1, 2, 32, 250.0, np.inf, seed=1)
         times = np.arange(32) / 250.0
         for epoch, tone in zip(eps, (6.0, 20.0)):
-            basis = np.vstack([np.sin(2 * np.pi * tone * times), np.cos(2 * np.pi * tone * times)]).T
+            phase = 2 * np.pi * tone * times
+            basis = np.vstack([np.sin(phase), np.cos(phase)]).T
             for row in epoch.samples:
                 coef, *_ = np.linalg.lstsq(basis, row, rcond=None)
                 np.testing.assert_allclose(basis @ coef, row, atol=1e-5)
