@@ -41,9 +41,10 @@ def alive_forward():
     return params, model_forward(rows, 4, 16, params, "linear")
 
 
-# Each layer entry point called with one sample and no batch axis.
+# Each layer entry point called with one sample and no batch axis. The
+# reducer's entry is keyed by its first layer, the 3x3 conv2d.
 UNBATCHED_CALLS = {
-    "nsdru_forward": lambda: reducer.nsdru_forward(np.zeros((1, 4, 4)), _MODEL.nsdru),
+    "conv2d": lambda: reducer.nsdru_forward(np.zeros((1, 4, 4)), _MODEL.nsdru),
     "gru_step": lambda: gru.gru_step(np.zeros(2), np.zeros(3), _BRANCH),
     "run_branch": lambda: gru.run_branch(np.zeros((5, 2)), _BRANCH),
     "logits": lambda: head.logits(np.zeros(3), _HEAD),
