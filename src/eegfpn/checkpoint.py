@@ -11,8 +11,6 @@ infinite parameter.
 """
 
 import math
-import os
-import stat
 import struct
 from itertools import zip_longest
 
@@ -21,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, FormatError
 from .autoencoder import AeDims
 from .model import ModelParams, map_params, param_segments, param_shapes
-from .signals import atomic_write
+from .signals import atomic_write, bounded_reader
 
 CHECKPOINT_MAGIC = b"CFPN"
 CHECKPOINT_VERSION = 1
@@ -43,23 +41,7 @@ def save_checkpoint(params: ModelParams, path: str):
 def read_segments(path: str) -> list:
     """Parse a checkpoint (a regular file) into (name, array) pairs in
     file order, reading each payload straight into its array."""
-    # Offsets and sizes come from the file system, and opening a named
-    # pipe would wait for a writer.
-    if not stat.S_ISREG(os.stat(path).st_mode):
-        raise FormatError(f"{path}: a checkpoint must be a regular file")
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-
-        def take(n: int, what: str, make=bytearray):
-            """The next n bytes, read into make(n) once the file is known
-            to hold them; a short read is a truncation too."""
-            offset = fh.tell()
-            if n <= size - offset:
-                out = make(n)
-                if fh.readinto(out) == n:
-                    return out
-            raise FormatError(f"{path}: truncated while reading {what} at offset {offset}")
-
+    with bounded_reader(path) as take:
         def u32(what: str) -> int:
             return struct.unpack("<I", take(4, what))[0]
 
@@ -89,9 +71,6 @@ def read_segments(path: str) -> list:
             segments.append(
                 (name, take(8 * math.prod(dims), f"segment {name!r} payload", payload))
             )
-        trailing = size - fh.tell()
-    if trailing:
-        raise FormatError(f"{path}: {trailing} trailing bytes after last segment")
     return segments
 
 

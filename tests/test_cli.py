@@ -88,7 +88,7 @@ class TestSynth:
         assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
-    @pytest.mark.parametrize("snr", ["nan", "-inf", "-1e308", "4000"])
+    @pytest.mark.parametrize("snr", ["nan", "-inf", "-1e308", "4000", "-760"])
     def test_snr_without_finite_noise_level_exits_2(self, tmp_path, capsys, snr):
         argv = ["synth", "--out", str(tmp_path / "d"), "--n", "1", f"--snr={snr}"]
         assert cli.main(argv) == 2
@@ -204,6 +204,30 @@ class TestTrainEval:
         captured = capsys.readouterr()
         assert code == 2
         assert "head.w" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_eval_of_manifest_listing_a_pipe_exits_2(
+        self, tmp_path, dataset, config_file, capsys
+    ):
+        ckpt = str(tmp_path / "init.cfpn")
+        checkpoint.save_checkpoint(model.init_model(parse_config(config_file), 4, 32, seed=0), ckpt)
+        with open(os.path.join(os.path.dirname(dataset), "epoch_00000.eeg"), "rb") as fh:
+            blob = fh.read()
+        read_end, write_end = os.pipe()
+        try:
+            # The pipe holds a whole epoch file, so a reader that accepted
+            # it would not block.
+            os.write(write_end, blob)
+            os.close(write_end)
+            with open(dataset, "a", encoding="utf-8") as fh:
+                fh.write(f"/dev/fd/{read_end}\n")
+            code = cli.main(["eval", "--ckpt", ckpt, "--data", dataset, "--config", config_file])
+        finally:
+            os.close(read_end)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"/dev/fd/{read_end}: must be a regular file" in captured.err
         assert captured.out == ""
 
     def test_train_rerun_bitwise_identical(self, tmp_path, dataset, config_file):

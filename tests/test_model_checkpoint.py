@@ -196,11 +196,6 @@ class TestAssembly:
         want = [(name, arr.shape) for name, arr in param_segments(params)]
         assert [(name, g.shape) for name, g in param_segments(grads)] == want
 
-    @pytest.mark.parametrize("seed", gradcheck.FULL_PIPELINE_SEEDS)
-    def test_full_pipeline_grad_check(self, seed):
-        report = gradcheck.check_full_pipeline(seed)
-        assert report.max_relative_error < 1e-4
-
 
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
@@ -336,7 +331,7 @@ class TestCheckpoint:
         checkpoint.save_checkpoint(params, path)
         blob = open(path, "rb").read() + b"\x00" * 8
         (tmp_path / "trail.cfpn").write_bytes(blob)
-        with pytest.raises(FormatError, match="trailing"):
+        with pytest.raises(FormatError, match=f"8 trailing bytes at offset {len(blob) - 8}"):
             checkpoint.load_checkpoint(str(tmp_path / "trail.cfpn"))
 
     @pytest.mark.parametrize("dims", [(2**32 - 1, 2**32 - 1), (2**31, 2**31, 4)])

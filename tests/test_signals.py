@@ -1,6 +1,7 @@
 """Signal path tests. Filter design is cross-checked against an
 independent SciPy implementation of the same Butterworth bandpass."""
 
+import os
 import struct
 
 import numpy as np
@@ -223,7 +224,8 @@ class TestSyntheticData:
         x = eps[0].samples
         np.testing.assert_array_equal(x, x.astype(np.float32).astype(np.float64))
 
-    @pytest.mark.parametrize("snr_db", [float("nan"), -np.inf, -1e308, 4000.0])
+    # -760 and -3236 dB give a noise level finite in float64 that float32 cannot hold.
+    @pytest.mark.parametrize("snr_db", [float("nan"), -np.inf, -1e308, 4000.0, -760.0, -3236.0])
     def test_snr_without_finite_noise_level_rejected(self, snr_db):
         with pytest.raises(ConfigError, match="snr_db"):
             signals.generate_synthetic(1, 2, 32, 250.0, snr_db, seed=1)
@@ -289,6 +291,19 @@ class TestEpochFiles:
         (tmp_path / "long.eeg").write_bytes(blob + b"\x00" * 64)
         with pytest.raises(FormatError, match=f"64 trailing bytes at offset {len(blob)}"):
             signals.read_epoch_file(str(tmp_path / "long.eeg"))
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_rejected(self, tmp_path):
+        path = tmp_path / "e.eeg"
+        signals.write_epoch_file(signals.generate_synthetic(1, 2, 16, 100.0, 5.0, seed=0)[0], str(path))
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, path.read_bytes())
+            os.close(write_end)
+            with pytest.raises(FormatError, match=f"/dev/fd/{read_end}: must be a regular file"):
+                signals.read_epoch_file(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
 
     def test_long_subject_id_rejected(self, tmp_path):
         epoch = Epoch(
