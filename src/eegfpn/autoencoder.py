@@ -105,10 +105,6 @@ def ae_forward(x: np.ndarray, p: AeParams, output_activation: str = "relu") -> A
         inputs.append(h)
         pre = _dense(h, getattr(p, f"w{n}"), getattr(p, f"b{n}"))
         h = relu(pre) if _relu_at(n, output_activation) else pre
-        # Free hidden pre-activations now, the output layer's after the sigmoid:
-        # another order left `eval`'s 128-channel peak RSS 16-32 MB higher.
-        if n < N_LAYERS:
-            del pre
         outs.append(h)
         if n in SKIP_FROM:
             skip = outs[SKIP_FROM[n] - 1]
@@ -138,6 +134,10 @@ def ae_backward(trace: AeTrace, d_recon: np.ndarray, p: AeParams):
     reconstruction loss term plus whatever the downstream consumer of the
     reconstruction contributes).
     """
+    if np.shape(d_recon) != trace.recon.shape:
+        raise ShapeError(
+            f"upstream has shape {np.shape(d_recon)}, the reconstruction {trace.recon.shape}"
+        )
     grads, skip_grads = {}, {}
     d = d_recon * trace.recon * (1.0 - trace.recon)
     for n in range(N_LAYERS, 0, -1):

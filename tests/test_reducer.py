@@ -1,9 +1,15 @@
-"""Conv/pool compressor: its 3x3 convolution and 2x2 pool kernels against
-explicit loops and finite differences, the halving rule, pooling
-dominance, gradients."""
+"""Conv/pool compressor: its convolutions and 2x2 pool against explicit
+loops and finite differences, the forward's bytes against its GEMMs'
+summation order, batch invariance across chunks, the halving rule, pooling
+dominance, gradients and the forward's memory."""
+
+import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from traced_memory import traced_peak_mib
 
 from eegfpn import gradcheck, reducer
 from eegfpn.errors import ShapeError
@@ -32,6 +38,70 @@ def delta_passthrough():
     return p
 
 
+def conv3x3_loop(x, k, b):
+    """Zero-padded 3x3 cross-correlation of (n, c_in, h, w) `x` with
+    (c_out, c_in, 3, 3) `k`, plus bias, one output cell at a time."""
+    n, _, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    out = np.empty((n, len(k), h, w))
+    for i, o, y, z in np.ndindex(out.shape):
+        out[i, o, y, z] = np.sum(xp[i, :, y:y + 3, z:z + 3] * k[o]) + b[o]
+    return out
+
+
+def fma(a: float, b: float, acc: float) -> float:
+    """a * b + acc rounded once, as a fused multiply-add does."""
+    return float(Fraction(a) * Fraction(b) + Fraction(acc))
+
+
+def fma_sum(pairs) -> float:
+    """The GEMM order: from zero, fuse each product into the sum in turn."""
+    acc = 0.0
+    for a, b in pairs:
+        acc = fma(a, b, acc)
+    return acc
+
+
+def blas_sums_in_order() -> bool:
+    """Whether this BLAS forms each GEMM entry as `fma_sum` of its
+    products in index order (OpenBLAS's x86-64 FMA kernels do)."""
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=(3, 9)), rng.normal(size=(9, 40))
+    got = a @ b
+    return all(got[i, j] == fma_sum(zip(a[i], b[:, j])) for i, j in np.ndindex(got.shape))
+
+
+def forward_in_gemm_order(x, p):
+    """(pooled, act2) of nsdru_forward, one cell at a time in its GEMMs'
+    order. conv1: each channel's nine tap products, row-major, fused from
+    zero, then the bias. conv2: the bias, then each tap row-major adds
+    its channel products fused in channel order from zero."""
+    n, _, h, w = x.shape
+    c = len(p.conv1_w)
+    h2, w2 = h // 2, w // 2
+    xp = np.pad(x[:, 0], ((0, 0), (1, 1), (1, 1))).tolist()
+    w1, b1 = p.conv1_w[:, 0].tolist(), p.conv1_b.tolist()
+    w2l, b2 = p.conv2_w[0].tolist(), float(p.conv2_b[0])
+    act1 = np.empty((n, c, h, w))
+    for i, o, y, z in np.ndindex(act1.shape):
+        act1[i, o, y, z] = fma_sum(
+            (xp[i][y + di][z + dj], w1[o][di][dj]) for di in range(3) for dj in range(3)
+        ) + b1[o]
+    act1 = np.maximum(act1, 0.0)
+    pooled = np.empty((n, c, h2, w2))
+    for i, o, y, z in np.ndindex(pooled.shape):
+        pooled[i, o, y, z] = max(act1[i, o, 2 * y + di, 2 * z + dj] for di in (0, 1) for dj in (0, 1))
+    pp = np.pad(pooled, ((0, 0), (0, 0), (1, 1), (1, 1))).tolist()
+    act2 = np.empty((n, 1, h2, w2))
+    for i, _, y, z in np.ndindex(act2.shape):
+        acc = b2
+        for di in range(3):
+            for dj in range(3):
+                acc += fma_sum((pp[i][o][y + di][z + dj], w2l[o][di][dj]) for o in range(c))
+        act2[i, 0, y, z] = acc
+    return pooled, np.maximum(act2, 0.0)
+
+
 class TestForward:
     def test_halving_large(self):
         out = reducer.nsdru_forward(np.zeros((1, 1, 128, 400)), zeroed()).act2
@@ -55,10 +125,28 @@ class TestForward:
         np.testing.assert_array_equal(reducer.nsdru_forward(x, zeroed()).act2, 0.0)
 
     def test_relu_outputs_nonnegative(self):
+        # Both ReLUs bite (some outputs are exactly zero), and the pool of
+        # the first ReLU's output is nonnegative too.
         p = init_nsdru(4, seed=3)
         trace = reducer.nsdru_forward(np.random.default_rng(3).normal(size=(2, 1, 8, 10)), p)
-        assert np.all(trace.act1 >= 0.0)
-        assert np.all(trace.act2 >= 0.0)
+        act1 = reducer._conv1_relu(trace.x, p)
+        for arr in (act1, trace.pooled, trace.act2):
+            assert np.all(arr >= 0.0)
+        assert np.any(act1 == 0.0) and np.any(trace.act2 == 0.0)
+
+    @pytest.mark.parametrize("grid", [(64, 256), (128, 300)], ids=["two-per-chunk", "one-per-chunk"])
+    def test_batch_invariant_across_chunks(self, grid):
+        # A batch the forward splits into several chunks gives bitwise the
+        # output of one call per sample.
+        x = np.random.default_rng(11).uniform(size=(5, 1) + grid)
+        assert len(reducer._chunks(x.shape)) > 1
+        p = init_nsdru(8, seed=11)
+        p.conv2_w[...] = np.abs(p.conv2_w)
+        trace = reducer.nsdru_forward(x, p)
+        for i in range(len(x)):
+            alone = reducer.nsdru_forward(x[i:i + 1], p)
+            assert trace.act2[i].tobytes() == alone.act2[0].tobytes()
+            assert trace.pooled[i].tobytes() == alone.pooled[0].tobytes()
 
     def test_pool_dominance_under_scaling(self):
         # With an identity first conv, the pooled grid is the window max;
@@ -126,6 +214,36 @@ class TestBackward:
         assert mask.sum() == 1
         assert mask[1, 0]
 
+    @pytest.mark.parametrize("shape", [(1,), (2, 1, 2, 1)], ids=["rank-1", "narrow"])
+    def test_wrong_upstream_shape_rejected(self, shape):
+        # Each of these would broadcast against the (2, 1, 2, 3) output.
+        p = init_nsdru(4, seed=4)
+        trace = reducer.nsdru_forward(np.random.default_rng(4).normal(size=(2, 1, 4, 6)), p)
+        assert trace.act2.shape == (2, 1, 2, 3)
+        with pytest.raises(ShapeError, match=re.escape(f"{shape}") + ".*" + re.escape("(2, 1, 2, 3)")):
+            reducer.nsdru_backward(trace, np.ones(shape), p)
+
+    def test_pool_routes_each_window_to_one_recomputed_cell(self):
+        # The backward recomputes conv1 over the forward's chunks; it must
+        # find each window's max again, so every window's gradient lands on
+        # exactly one cell and none is lost. Three chunks of two 64 x 256
+        # maps, and ties: a zero input row and a negative bias leave
+        # windows whose cells are all exactly zero.
+        x = np.random.default_rng(13).uniform(size=(5, 1, 64, 256))
+        x[:, :, 8:24] = 0.0
+        p = init_nsdru(8, seed=13)
+        p.conv1_b[...] = -0.05
+        trace = reducer.nsdru_forward(x, p)
+        assert len(reducer._chunks(x.shape)) == 3
+        assert np.any(trace.pooled == 0.0)
+        up = np.random.default_rng(14).uniform(1.0, 2.0, size=trace.pooled.shape)
+        act1 = np.concatenate([reducer._conv1_relu(x[s], p) for s in reducer._chunks(x.shape)],
+                              axis=1).transpose(1, 0, 2, 3)
+        routed = reducer._maxpool_backward(up, act1, trace.pooled)
+        hits = sum(cell != 0.0 for cell in reducer._pool_cells(routed))
+        np.testing.assert_array_equal(hits, 1)
+        assert math.fsum(routed.ravel()) == math.fsum(up.ravel())
+
     def test_param_count(self):
         p = init_nsdru(8, seed=0)
         tally = p.conv1_w.size + p.conv1_b.size + p.conv2_w.size + p.conv2_b.size
@@ -134,10 +252,9 @@ class TestBackward:
 
 class TestConv3x3:
     def test_all_ones_kernel_counts_neighbourhood(self):
-        x = np.ones((1, 1, 4, 4))
-        k = np.ones((1, 1, 3, 3))
-        b = np.zeros(1)
-        out = reducer._conv3x3(x, k, b)
+        p = zeroed(hidden=1)
+        p.conv1_w[...] = 1.0
+        out = reducer._conv1_relu(np.ones((1, 1, 4, 4)), p)
         # Zero padding: interior cells see 9 ones, edges 6, corners 4.
         want = np.array([[4.0, 6.0, 6.0, 4.0],
                          [6.0, 9.0, 9.0, 6.0],
@@ -146,64 +263,59 @@ class TestConv3x3:
         np.testing.assert_array_equal(out, want[None, None])
 
     def test_zero_kernel_returns_bias_map(self):
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
-        k = np.zeros((3, 1, 3, 3))
-        b = np.array([1.0, -2.0, 0.5])
-        out = reducer._conv3x3(x, k, b)
-        assert out.shape == (1, 3, 4, 4)
-        for c, v in enumerate(b):
-            np.testing.assert_array_equal(out[0, c], np.full((4, 4), v))
+        # conv1's output is channel-first and ReLU'd: a negative bias
+        # leaves a zero map.
+        p = zeroed(hidden=3)
+        p.conv1_b[...] = [1.0, -2.0, 0.5]
+        out = reducer._conv1_relu(np.arange(16.0).reshape(1, 1, 4, 4), p)
+        assert out.shape == (3, 1, 4, 4)
+        for c, v in enumerate([1.0, 0.0, 0.5]):
+            np.testing.assert_array_equal(out[c, 0], np.full((4, 4), v))
 
     def test_same_padding_preserves_spatial_shape(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(2, 3, 9, 11))
-        k = rng.normal(size=(4, 3, 3, 3))
-        out = reducer._conv3x3(x, k, np.zeros(4))
-        assert out.shape == (2, 4, 9, 11)
+        p = init_nsdru(4, seed=3)
+        x = np.random.default_rng(3).normal(size=(2, 1, 9, 11))
+        assert reducer._conv1_relu(x, p).shape == (4, 2, 9, 11)
 
     def test_matches_explicit_loop(self):
         rng = np.random.default_rng(17)
-        x = rng.normal(size=(2, 3, 6, 7))
-        k = rng.normal(size=(4, 3, 3, 3))
-        b = rng.normal(size=4)
-        got = reducer._conv3x3(x, k, b)
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        want = np.zeros((2, 4, 6, 7))
-        for n in range(2):
-            for o in range(4):
-                for i in range(6):
-                    for j in range(7):
-                        patch = xp[n, :, i:i + 3, j:j + 3]
-                        want[n, o, i, j] = np.sum(patch * k[o]) + b[o]
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        x = rng.normal(size=(2, 1, 6, 7))
+        p = init_nsdru(4, seed=17)
+        p.conv1_b[...] = rng.normal(size=4)
+        p.conv2_w[...] = np.abs(p.conv2_w)
+        p.conv2_b[...] = 0.1
+        act1 = relu(conv3x3_loop(x, p.conv1_w, p.conv1_b))
+        pooled = reducer._maxpool(act1)
+        act2 = relu(conv3x3_loop(pooled, p.conv2_w, p.conv2_b))
+        trace = reducer.nsdru_forward(x, p)
+        np.testing.assert_allclose(reducer._conv1_relu(x, p).transpose(1, 0, 2, 3), act1,
+                                   atol=1e-12)
+        np.testing.assert_allclose(trace.pooled, pooled, atol=1e-12)
+        np.testing.assert_allclose(trace.act2, act2, atol=1e-12)
 
-    @pytest.mark.parametrize("c_in,c_out", [(1, 1), (1, 4), (3, 1), (3, 2)])
-    def test_summation_order_is_pinned(self, c_in, c_out):
+    @pytest.mark.parametrize("hidden", [2, 3, 4])
+    def test_forward_bytes_follow_the_gemm_order(self, hidden):
         # Trained numbers and checkpoint hashes depend on the rounding, so
-        # the bytes must equal this order: bias first, taps row-major, and
-        # each tap's channel products summed in index order before adding.
-        rng = np.random.default_rng(100 * c_in + 10 * c_out + 3)
-        x = rng.normal(size=(2, c_in, 7, 9))
+        # the forward's bytes must equal its GEMMs' order, written out in
+        # `forward_in_gemm_order`. One hidden channel is left out: numpy
+        # then runs conv1 as a matrix-vector product, whose order is the
+        # BLAS kernel's own.
+        if not blas_sums_in_order():
+            pytest.skip("this BLAS does not sum a GEMM's products in index order "
+                        "with fused multiply-adds")
+        rng = np.random.default_rng(10 * hidden + 3)
+        x = rng.normal(size=(2, 1, 7, 9))
         x[:, :, :, ::3] = 0.0
         x[:, :, 2] = 0.0
-        k = rng.normal(size=(c_out, c_in, 3, 3))
-        b = rng.normal(size=c_out)
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1))).tolist()
-        kl, bl = k.tolist(), b.tolist()
-        want = np.empty((2, c_out, 7, 9))
-        for n in range(2):
-            for o in range(c_out):
-                for y in range(7):
-                    for z in range(9):
-                        acc = bl[o]
-                        for i in range(3):
-                            for j in range(3):
-                                tap = xp[n][0][y + i][z + j] * kl[o][0][i][j]
-                                for c in range(1, c_in):
-                                    tap += xp[n][c][y + i][z + j] * kl[o][c][i][j]
-                                acc += tap
-                        want[n, o, y, z] = acc
-        assert reducer._conv3x3(x, k, b).tobytes() == want.tobytes()
+        p = init_nsdru(hidden, seed=hidden)
+        p.conv1_b[...] = rng.normal(size=hidden)
+        p.conv2_w[...] = rng.normal(size=p.conv2_w.shape)
+        p.conv2_b[...] = 0.5
+        pooled, act2 = forward_in_gemm_order(x, p)
+        trace = reducer.nsdru_forward(x, p)
+        assert np.any(act2 > 0.0) and np.any(pooled == 0.0)
+        assert trace.pooled.tobytes() == pooled.tobytes()
+        assert trace.act2.tobytes() == act2.tobytes()
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(23)
@@ -213,7 +325,7 @@ class TestConv3x3:
         up = rng.normal(size=(2, 3, 5, 6))
 
         def loss(xv, kv, bv):
-            return float(np.sum(reducer._conv3x3(xv, kv, bv) * up))
+            return float(np.sum(conv3x3_loop(xv, kv, bv) * up))
 
         d_x, d_k, d_b = reducer._conv3x3_backward(up, x, k)
         eps = 1e-6
@@ -288,3 +400,15 @@ class TestMaxPool:
         assert np.sum(x == 0.0) > x.size // 2
         assert out.tobytes() == ref_out.tobytes()
         assert reducer._maxpool_backward(up, x, out).tobytes() == ref_grad.tobytes()
+
+
+class TestMemory:
+    def test_forward_peak_stays_small(self):
+        # conv1's output exists one chunk at a time: on a 64-sample
+        # 128 x 256 batch with 8 channels the peak is the (n, c, 64, 128)
+        # pool output (32 MiB), the output (4 MiB) and one chunk's
+        # temporaries, not the 128 MiB conv1 output of the whole batch.
+        x = np.random.default_rng(0).uniform(size=(64, 1, 128, 256))
+        p = init_nsdru(8, seed=0)
+        peak = traced_peak_mib(lambda: reducer.nsdru_forward(x, p))
+        assert peak < 80.0, f"forward peak {peak:.1f} MiB"
