@@ -13,7 +13,8 @@ algebra, per step:
 so the new state is a convex combination of the previous state and the
 candidate, with the update gate weighting the candidate. Backward, each
 gate's pre-activation gradient d_a gives w += d_a^T x, u += d_a^T h_in
-and b += sum(d_a), with h_in = h_prev for z and r, r * h_prev for c.
+and b += sum(d_a), with h_in = h_prev for z and r, r * h_prev for c; one
+reversed loop over time runs all k branches, stacked on a leading axis.
 """
 
 from dataclasses import dataclass, fields
@@ -147,48 +148,42 @@ def csie_forward(sequence: np.ndarray, p: CsieParams) -> CsieTrace:
     return CsieTrace(branch_traces=traces, aggregate=agg)
 
 
-def _branch_backward(trace: BranchTrace, upstream: np.ndarray, p: GruBranchParams):
-    """BPTT through one branch. Returns (GruBranchParams of gradients,
-    d_sequence)."""
-    seq = trace.inputs
+def csie_backward(trace: CsieTrace, upstream: np.ndarray, p: CsieParams):
+    """Split the aggregate gradient 1/k into each branch, then BPTT through
+    all k branches in one reversed loop over time, stacked on a leading
+    axis. Each np.matmul runs on every branch's slice the product that
+    branch alone would run, so the gradients are those of k separate loops,
+    bitwise. Returns (CsieParams of gradients, d_sequence summed over branches).
+    """
+    seq = trace.branch_traces[0].inputs
     n, steps, _ = seq.shape
-    grads = [np.zeros_like(getattr(p, f.name)) for f in fields(p)]
+    h = p.branches[0].hidden_size
+    share = np.asarray(upstream, dtype=np.float64) / p.k
+    if share.shape != (n, h):
+        raise ShapeError(f"upstream must be (n, {h}), got shape {share.shape}")
+    names = [f.name for f in fields(GruBranchParams)]
+    w = GruBranchParams(*(np.stack([getattr(b, name) for b in p.branches]) for name in names))
+    z, r, c, hid = (np.stack([getattr(tr, name) for tr in trace.branch_traces])
+                    for name in ("update", "reset", "cand", "hiddens"))
+    grads = [np.zeros_like(getattr(w, name)) for name in names]
     gates = [grads[i:i + 3] for i in range(0, len(grads), 3)]  # (w, u, b) of z, r, h
-    d_seq = np.zeros_like(seq)
-    d_h = np.asarray(upstream, dtype=np.float64)
-    if d_h.shape != (n, p.hidden_size):
-        raise ShapeError(
-            f"upstream must be (n, {p.hidden_size}), got shape {d_h.shape}"
-        )
+    d_seq = np.zeros((p.k,) + seq.shape)
+    d_h = np.broadcast_to(share, (p.k, n, h))
     for t in range(steps - 1, -1, -1):
         x_t = seq[:, t]
-        h_prev = trace.hiddens[:, t]
-        z_t, r_t, c_t = trace.update[:, t], trace.reset[:, t], trace.cand[:, t]
+        h_prev, z_t, r_t, c_t = hid[:, :, t], z[:, :, t], r[:, :, t], c[:, :, t]
         # Gradients at the gate pre-activations.
         d_a_z = d_h * (c_t - h_prev) * z_t * (1.0 - z_t)
         d_a_h = d_h * z_t * (1.0 - c_t * c_t)
-        d_rh = d_a_h @ p.u_h
+        d_rh = d_a_h @ w.u_h
         d_a_r = d_rh * h_prev * r_t * (1.0 - r_t)
         d_as, h_ins = (d_a_z, d_a_r, d_a_h), (h_prev, h_prev, r_t * h_prev)
         for (g_w, g_u, g_b), d_a, h_in in zip(gates, d_as, h_ins):
-            g_w += d_a.T @ x_t
-            g_u += d_a.T @ h_in
-            g_b += d_a.sum(axis=0)
-        d_seq[:, t] = d_a_z @ p.w_z + d_a_r @ p.w_r + d_a_h @ p.w_h
-        d_h = d_h * (1.0 - z_t) + d_rh * r_t + d_a_z @ p.u_z + d_a_r @ p.u_r
-    return GruBranchParams(*grads), d_seq
-
-
-def csie_backward(trace: CsieTrace, upstream: np.ndarray, p: CsieParams):
-    """Split the aggregate gradient 1/k into each branch, then BPTT.
-
-    Returns (CsieParams of gradients, d_sequence summed over branches).
-    """
-    share = np.asarray(upstream, dtype=np.float64) / p.k
-    grads = []
-    d_seq_total = None
-    for branch_trace, branch in zip(trace.branch_traces, p.branches):
-        g, d_seq = _branch_backward(branch_trace, share, branch)
-        grads.append(g)
-        d_seq_total = d_seq if d_seq_total is None else d_seq_total + d_seq
-    return CsieParams(branches=grads), d_seq_total
+            d_a_t = d_a.transpose(0, 2, 1)
+            g_w += d_a_t @ x_t
+            g_u += d_a_t @ h_in
+            g_b += d_a.sum(axis=1)
+        d_seq[:, :, t] = d_a_z @ w.w_z + d_a_r @ w.w_r + d_a_h @ w.w_h
+        d_h = d_h * (1.0 - z_t) + d_rh * r_t + d_a_z @ w.u_z + d_a_r @ w.u_r
+    branches = [GruBranchParams(*(g[i] for g in grads)) for i in range(p.k)]
+    return CsieParams(branches=branches), d_seq.sum(axis=0)

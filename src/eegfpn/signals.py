@@ -31,6 +31,11 @@ EPOCH_VERSION = 1
 _HEADER = struct.Struct("<4sIIIfB15s")
 
 
+def _check_epoch_shape(ch: int, t: int):
+    if ch < 1 or t < 4:
+        raise ShapeError(f"epoch needs ch >= 1 and t >= 4, got ({ch}, {t})")
+
+
 @dataclass
 class Epoch:
     """One labeled EEG segment: a (channels x time) sample matrix."""
@@ -44,9 +49,7 @@ class Epoch:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 2:
             raise ShapeError(f"epoch samples must be 2-D (ch, t), got {self.samples.shape}")
-        ch, t = self.samples.shape
-        if ch < 1 or t < 4:
-            raise ShapeError(f"epoch needs ch >= 1 and t >= 4, got ({ch}, {t})")
+        _check_epoch_shape(*self.samples.shape)
         if self.label not in (0, 1):
             raise ConfigError(f"label must be 0 or 1, got {self.label}")
         if not (math.isfinite(self.sampling_rate) and self.sampling_rate > 0):
@@ -212,6 +215,7 @@ def generate_synthetic(
     """
     if n_per_class < 1:
         raise ConfigError(f"n_per_class must be >= 1, got {n_per_class}")
+    _check_epoch_shape(ch, t)
     try:
         ratio = 10.0 ** (snr_db / 10.0)  # tone-to-noise power
     except OverflowError:

@@ -63,11 +63,16 @@ class TestSynth:
         assert "sampling_rate" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
-    @pytest.mark.parametrize("flag, value", [("--ch", "0"), ("--t", "3"), ("--n", "0")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--ch", "0"), ("--ch", "-1"), ("--t", "3"), ("--t", "0"), ("--t", "-5"), ("--n", "0"),
+    ])
     def test_rejected_shape_leaves_no_directory(self, tmp_path, capsys, flag, value):
         argv = ["synth", "--out", str(tmp_path / "d"), "--n", "1", flag, value]
         assert cli.main(argv) == 2
-        assert "error:" in capsys.readouterr().err
+        shape = {"--ch": f"({value}, 256)", "--t": f"(8, {value})"}
+        want = (f"epoch needs ch >= 1 and t >= 4, got {shape[flag]}" if flag in shape
+                else "n_per_class must be >= 1, got 0")
+        assert f"error: {want}" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
     def test_rejected_run_keeps_existing_empty_directory(self, tmp_path, capsys):

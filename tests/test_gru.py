@@ -1,6 +1,8 @@
 """GRU ensemble: closed-form recursions, gate bounds, aggregation
 algebra, and backpropagation through time."""
 
+import itertools
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -233,6 +235,8 @@ class TestBackward:
         (1, 1, 2, 3, 1, None),    # one branch, one step
         (3, 9, 3, 5, 3, 40.0),    # update gate saturated at ~1
         (4, 12, 4, 32, 2, None),  # the train shape's f and h
+        (16, 128, 4, 32, 6, None),  # the train workload's batch
+        (1, 128, 4, 32, 6, None),   # the stream workload's single epoch
     ])
     def test_gate_loop_matches_per_gate_reference_bitwise(self, n, steps, f, h, k, b_z):
         params = init_csie(f, h, k, seed=steps)
@@ -252,6 +256,18 @@ class TestBackward:
                 np.testing.assert_array_equal(a, b, err_msg=name)
             want_d_seq = d if want_d_seq is None else want_d_seq + d
         np.testing.assert_array_equal(d_seq, want_d_seq)
+        for i, j in itertools.combinations(range(k), 2):
+            for _, a in param_segments(grads.branches[i]):
+                for _, b in param_segments(grads.branches[j]):
+                    assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (4, 4), (4,)],
+                             ids=["one-column", "one-row", "rank-1"])
+    def test_wrong_upstream_shape_rejected(self, shape):
+        params = init_csie(2, 4, k=2, seed=9)
+        trace = gru.csie_forward(np.random.default_rng(9).normal(size=(3, 5, 2)), params)
+        with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
+            gru.csie_backward(trace, np.ones(shape), params)
 
     def test_param_count(self):
         p = init_branch(2, 4, seed=0)
