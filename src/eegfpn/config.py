@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .autoencoder import OUTPUT_ACTIVATIONS
 from .errors import ConfigError, ParseError
-from .signals import FilterSpec
+from .signals import FilterSpec, require_regular_file
 
 
 @dataclass
@@ -105,6 +105,7 @@ def _parse_value(key: str, raw: str, lineno: int):
 
 def parse_config(path: str) -> RunConfig:
     """Read `key = value` lines; '#' comments and blank lines ignored."""
+    require_regular_file(path)
     overrides = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

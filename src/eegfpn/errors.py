@@ -22,7 +22,7 @@ class ParseError(EegFpnError, ValueError):
 
 
 class FormatError(EegFpnError, ValueError):
-    """A binary file is malformed; names the offending offset or segment."""
+    """An input file is not a regular file or is malformed; names where."""
 
 
 class NumericError(EegFpnError, ArithmeticError):

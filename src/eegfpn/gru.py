@@ -11,10 +11,12 @@ algebra, per step:
     next    h = (1 - z) * h_prev + z * c
 
 so the new state is a convex combination of the previous state and the
-candidate, with the update gate weighting the candidate. Backward, each
-gate's pre-activation gradient d_a gives w += d_a^T x, u += d_a^T h_in
+candidate, with the update gate weighting the candidate. The forward
+writes every branch's gates and states into one trace stacked on a
+leading k axis, (k, n, T, h), which the backward reads as it is. Backward,
+each gate's pre-activation gradient d_a gives w += d_a^T x, u += d_a^T h_in
 and b += sum(d_a), with h_in = h_prev for z and r, r * h_prev for c; one
-reversed loop over time runs all k branches, stacked on a leading axis.
+reversed loop over time runs all k branches.
 """
 
 from dataclasses import dataclass, fields
@@ -68,19 +70,16 @@ def csie_shapes(f: int, h: int, k: int) -> CsieParams:
 
 
 @dataclass
-class BranchTrace:
-    """Stacked per-step values; hiddens has T+1 steps (index 0 = the zero start)."""
+class CsieTrace:
+    """The k branches' per-step values, stacked on a leading branch axis:
+    inputs (n, T, f); update, reset, cand (k, n, T, h); hiddens
+    (k, n, T+1, h), step 0 the zero start; aggregate (n, h)."""
 
     inputs: np.ndarray
     update: np.ndarray
     reset: np.ndarray
     cand: np.ndarray
     hiddens: np.ndarray
-
-
-@dataclass
-class CsieTrace:
-    branch_traces: list
     aggregate: np.ndarray
 
 
@@ -100,52 +99,38 @@ def gru_step(x_t, h_prev, p: GruBranchParams):
     return update, reset, cand, h_new
 
 
-def run_branch(sequence: np.ndarray, p: GruBranchParams) -> BranchTrace:
-    """Iterate gru_step over a (n, T, f) sequence from a zero state."""
-    seq = np.asarray(sequence, dtype=np.float64)
-    if seq.ndim != 3 or seq.shape[2] != p.input_size:
-        raise ShapeError(
-            f"sequence must be (n, T, {p.input_size}), got shape {seq.shape}"
-        )
-    n, steps, _ = seq.shape
-    if steps == 0:
-        raise ShapeError("cannot run a branch over an empty sequence")
-    h = p.hidden_size
-    update = np.empty((n, steps, h))
-    reset = np.empty((n, steps, h))
-    cand = np.empty((n, steps, h))
-    hiddens = np.empty((n, steps + 1, h))
-    hiddens[:, 0] = 0.0
-    for t in range(steps):
-        z_t, r_t, c_t, h_t = gru_step(seq[:, t], hiddens[:, t], p)
-        update[:, t], reset[:, t], cand[:, t], hiddens[:, t + 1] = z_t, r_t, c_t, h_t
-    return BranchTrace(inputs=seq, update=update, reset=reset, cand=cand, hiddens=hiddens)
-
-
 def aggregate(final_hiddens) -> np.ndarray:
-    """Average of the k branch states, anchored at the first state so an
-    average of identical states returns that state bitwise (a plain
-    sum-then-divide mean rounds unless k is a power of two)."""
-    if len(final_hiddens) == 0:
+    """Average of the k branch states, (k, n, h), anchored at the first
+    state so an average of identical states returns that state bitwise (a
+    plain sum-then-divide mean rounds unless k is a power of two)."""
+    final = np.asarray(final_hiddens, dtype=np.float64)
+    if len(final) == 0:
         raise ShapeError("nothing to aggregate: no branch states")
-    arrays = [np.asarray(v, dtype=np.float64) for v in final_hiddens]
-    base = arrays[0]
-    for v in arrays[1:]:
-        if v.shape != base.shape:
-            raise ShapeError(
-                f"branch states disagree in shape: {v.shape} vs {base.shape}"
-            )
-    if len(arrays) == 1:
+    base = final[0]
+    if len(final) == 1:
         return base.copy()
-    offsets = np.stack([v - base for v in arrays[1:]])
-    return base + offsets.sum(axis=0) / len(arrays)
+    return base + (final[1:] - base).sum(axis=0) / len(final)
 
 
 def csie_forward(sequence: np.ndarray, p: CsieParams) -> CsieTrace:
-    """Run every branch over the same sequence, average final states."""
-    traces = [run_branch(sequence, branch) for branch in p.branches]
-    agg = aggregate([tr.hiddens[:, -1] for tr in traces])
-    return CsieTrace(branch_traces=traces, aggregate=agg)
+    """Iterate gru_step over a (n, T, f) sequence from a zero state, branch
+    by branch, and average the final states."""
+    f, h = p.branches[0].input_size, p.branches[0].hidden_size
+    seq = np.asarray(sequence, dtype=np.float64)
+    if seq.ndim != 3 or seq.shape[2] != f:
+        raise ShapeError(f"sequence must be (n, T, {f}), got shape {seq.shape}")
+    n, steps, _ = seq.shape
+    if steps == 0:
+        raise ShapeError("cannot run a branch over an empty sequence")
+    update, reset, cand = (np.empty((p.k, n, steps, h)) for _ in range(3))
+    hiddens = np.empty((p.k, n, steps + 1, h))
+    hiddens[:, :, 0] = 0.0
+    for i, branch in enumerate(p.branches):
+        for t in range(steps):
+            z_t, r_t, c_t, h_t = gru_step(seq[:, t], hiddens[i, :, t], branch)
+            update[i, :, t], reset[i, :, t], cand[i, :, t], hiddens[i, :, t + 1] = z_t, r_t, c_t, h_t
+    return CsieTrace(inputs=seq, update=update, reset=reset, cand=cand, hiddens=hiddens,
+                     aggregate=aggregate(hiddens[:, :, -1]))
 
 
 def csie_backward(trace: CsieTrace, upstream: np.ndarray, p: CsieParams):
@@ -155,7 +140,7 @@ def csie_backward(trace: CsieTrace, upstream: np.ndarray, p: CsieParams):
     branch alone would run, so the gradients are those of k separate loops,
     bitwise. Returns (CsieParams of gradients, d_sequence summed over branches).
     """
-    seq = trace.branch_traces[0].inputs
+    seq = trace.inputs
     n, steps, _ = seq.shape
     h = p.branches[0].hidden_size
     share = np.asarray(upstream, dtype=np.float64) / p.k
@@ -163,8 +148,7 @@ def csie_backward(trace: CsieTrace, upstream: np.ndarray, p: CsieParams):
         raise ShapeError(f"upstream must be (n, {h}), got shape {share.shape}")
     names = [f.name for f in fields(GruBranchParams)]
     w = GruBranchParams(*(np.stack([getattr(b, name) for b in p.branches]) for name in names))
-    z, r, c, hid = (np.stack([getattr(tr, name) for tr in trace.branch_traces])
-                    for name in ("update", "reset", "cand", "hiddens"))
+    z, r, c, hid = trace.update, trace.reset, trace.cand, trace.hiddens
     grads = [np.zeros_like(getattr(w, name)) for name in names]
     gates = [grads[i:i + 3] for i in range(0, len(grads), 3)]  # (w, u, b) of z, r, h
     d_seq = np.zeros((p.k,) + seq.shape)

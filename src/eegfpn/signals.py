@@ -276,6 +276,13 @@ def atomic_write(path: str, *chunks):
         raise
 
 
+def require_regular_file(path: str):
+    """Reject anything but a regular file: opening a named pipe would wait
+    for a writer, and readers take sizes from the file system."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise FormatError(f"{path}: must be a regular file")
+
+
 @contextmanager
 def bounded_reader(path: str):
     """Open `path`, a regular file, and yield take(n, what, make=bytearray):
@@ -283,10 +290,7 @@ def bounded_reader(path: str):
     hold them, so no declared size allocates before it is checked; a
     short read is a truncation too. Bytes left unread at the end of the
     block are an error."""
-    # Offsets and sizes come from the file system, and opening a named
-    # pipe would wait for a writer.
-    if not stat.S_ISREG(os.stat(path).st_mode):
-        raise FormatError(f"{path}: must be a regular file")
+    require_regular_file(path)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -353,6 +357,7 @@ def write_manifest(path: str, names: list):
 
 def read_manifest(path: str) -> list:
     """Relative epoch-file paths, resolved against the manifest directory."""
+    require_regular_file(path)
     base = os.path.dirname(os.path.abspath(path))
     out = []
     with open(path, "r", encoding="utf-8") as fh:

@@ -212,27 +212,34 @@ class TestTrainEval:
         assert captured.out == ""
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-    def test_eval_of_manifest_listing_a_pipe_exits_2(
-        self, tmp_path, dataset, config_file, capsys
+    @pytest.mark.parametrize("where", ["manifest-entry", "data", "config"])
+    def test_eval_reading_a_pipe_exits_2(
+        self, where, tmp_path, dataset, config_file, capsys
     ):
         ckpt = str(tmp_path / "init.cfpn")
         checkpoint.save_checkpoint(model.init_model(parse_config(config_file), 4, 32, seed=0), ckpt)
-        with open(os.path.join(os.path.dirname(dataset), "epoch_00000.eeg"), "rb") as fh:
+        flags = {"--ckpt": ckpt, "--data": dataset, "--config": config_file}
+        entry = os.path.join(os.path.dirname(dataset), "epoch_00000.eeg")
+        with open(flags.get(f"--{where}", entry), "rb") as fh:
             blob = fh.read()
         read_end, write_end = os.pipe()
+        pipe = f"/dev/fd/{read_end}"
         try:
-            # The pipe holds a whole epoch file, so a reader that accepted
-            # it would not block.
+            # The pipe holds a whole file of the kind it stands in for, so
+            # a reader that accepted it would not block.
             os.write(write_end, blob)
             os.close(write_end)
-            with open(dataset, "a", encoding="utf-8") as fh:
-                fh.write(f"/dev/fd/{read_end}\n")
-            code = cli.main(["eval", "--ckpt", ckpt, "--data", dataset, "--config", config_file])
+            if where == "manifest-entry":
+                with open(dataset, "a", encoding="utf-8") as fh:
+                    fh.write(f"{pipe}\n")
+            else:
+                flags[f"--{where}"] = pipe
+            code = cli.main(["eval", *(arg for flag in flags.items() for arg in flag)])
         finally:
             os.close(read_end)
         captured = capsys.readouterr()
         assert code == 2
-        assert f"/dev/fd/{read_end}: must be a regular file" in captured.err
+        assert f"{pipe}: must be a regular file" in captured.err
         assert captured.out == ""
 
     def test_train_rerun_bitwise_identical(self, tmp_path, dataset, config_file):

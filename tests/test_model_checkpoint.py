@@ -46,7 +46,7 @@ def alive_forward():
 UNBATCHED_CALLS = {
     "conv2d": lambda: reducer.nsdru_forward(np.zeros((1, 4, 4)), _MODEL.nsdru),
     "gru_step": lambda: gru.gru_step(np.zeros(2), np.zeros(3), _BRANCH),
-    "run_branch": lambda: gru.run_branch(np.zeros((5, 2)), _BRANCH),
+    "csie_forward": lambda: gru.csie_forward(np.zeros((5, 2)), gru.CsieParams(branches=[_BRANCH])),
     "logits": lambda: head.logits(np.zeros(3), _HEAD),
     "cross_entropy": lambda: head.cross_entropy(np.array([0.5, 0.5]), 0),
     "model_forward": lambda: model_forward(np.zeros(64), 4, 16, _MODEL),
@@ -111,7 +111,7 @@ class TestAssembly:
     def test_ensemble_sees_map_rows_as_features(self):
         _, trace = alive_forward()
         act2 = trace.nsdru.act2[:, 0]  # 2 compressed channels by 8 time columns
-        inputs = trace.csie.branch_traces[0].inputs
+        inputs = trace.csie.inputs
         assert inputs.shape == (3, 8, 2)
         assert np.unique(act2).size == act2.size
         # Step j is column j; its features are the map's rows.
