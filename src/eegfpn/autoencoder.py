@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .ops import relu, relu_grad, sigmoid
+from .ops import relu_grad, sigmoid
 
 OUTPUT_ACTIVATIONS = ("relu", "linear")
 N_LAYERS = 6
@@ -69,7 +69,9 @@ def ae_shapes(dims: AeDims) -> AeParams:
 
 @dataclass
 class AeTrace:
-    """Layer n read `inputs[n-1]` and produced `outs[n-1]`, before any skip add."""
+    """Layer n read `inputs[n-1]` and produced `outs[n-1]`, before any skip
+    add. Without a trace `inputs` is empty and `outs` keeps only the skip
+    sources, None elsewhere."""
 
     x: np.ndarray
     inputs: list
@@ -83,7 +85,9 @@ def _dense(x, w, b):
         raise ShapeError(
             f"dense input width {x.shape[1]} does not match weight width {w.shape[1]}"
         )
-    return x @ w.T + b
+    out = x @ w.T
+    out += b
+    return out
 
 
 def _relu_at(n: int, output_activation: str) -> bool:
@@ -91,7 +95,8 @@ def _relu_at(n: int, output_activation: str) -> bool:
     return n < N_LAYERS or output_activation == "relu"
 
 
-def ae_forward(x: np.ndarray, p: AeParams, output_activation: str = "relu") -> AeTrace:
+def ae_forward(x: np.ndarray, p: AeParams, output_activation: str = "relu",
+               keep_trace: bool = True) -> AeTrace:
     """Layers 1-6 in order: (n, d) narrows to (n, z) and widens back."""
     if output_activation not in OUTPUT_ACTIVATIONS:
         raise ConfigError(
@@ -102,10 +107,12 @@ def ae_forward(x: np.ndarray, p: AeParams, output_activation: str = "relu") -> A
         raise ShapeError(f"encoder expects a 2-D batch, got shape {x.shape}")
     h, inputs, outs = x, [], []
     for n in range(1, N_LAYERS + 1):
-        inputs.append(h)
-        pre = _dense(h, getattr(p, f"w{n}"), getattr(p, f"b{n}"))
-        h = relu(pre) if _relu_at(n, output_activation) else pre
-        outs.append(h)
+        if keep_trace:
+            inputs.append(h)
+        h = _dense(h, getattr(p, f"w{n}"), getattr(p, f"b{n}"))
+        if _relu_at(n, output_activation):
+            np.maximum(h, 0.0, out=h)
+        outs.append(h if keep_trace or n in SKIP_FROM.values() else None)
         if n in SKIP_FROM:
             skip = outs[SKIP_FROM[n] - 1]
             if h.shape != skip.shape:

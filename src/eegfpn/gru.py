@@ -73,7 +73,8 @@ def csie_shapes(f: int, h: int, k: int) -> CsieParams:
 class CsieTrace:
     """The k branches' per-step values, stacked on a leading branch axis:
     inputs (n, T, f); update, reset, cand (k, n, T, h); hiddens
-    (k, n, T+1, h), step 0 the zero start; aggregate (n, h)."""
+    (k, n, T+1, h), step 0 the zero start; aggregate (n, h). Without a
+    trace the four per-step arrays are None."""
 
     inputs: np.ndarray
     update: np.ndarray
@@ -112,7 +113,7 @@ def aggregate(final_hiddens) -> np.ndarray:
     return base + (final[1:] - base).sum(axis=0) / len(final)
 
 
-def csie_forward(sequence: np.ndarray, p: CsieParams) -> CsieTrace:
+def csie_forward(sequence: np.ndarray, p: CsieParams, keep_trace: bool = True) -> CsieTrace:
     """Iterate gru_step over a (n, T, f) sequence from a zero state, branch
     by branch, and average the final states."""
     f, h = p.branches[0].input_size, p.branches[0].hidden_size
@@ -122,15 +123,20 @@ def csie_forward(sequence: np.ndarray, p: CsieParams) -> CsieTrace:
     n, steps, _ = seq.shape
     if steps == 0:
         raise ShapeError("cannot run a branch over an empty sequence")
-    update, reset, cand = (np.empty((p.k, n, steps, h)) for _ in range(3))
-    hiddens = np.empty((p.k, n, steps + 1, h))
-    hiddens[:, :, 0] = 0.0
+    update, reset, cand = (np.empty((p.k, n, steps, h)) if keep_trace else None
+                           for _ in range(3))
+    hiddens = np.zeros((p.k, n, steps + 1, h)) if keep_trace else None
+    final = np.empty((p.k, n, h))
     for i, branch in enumerate(p.branches):
+        h_t = np.zeros((n, h))
         for t in range(steps):
-            z_t, r_t, c_t, h_t = gru_step(seq[:, t], hiddens[i, :, t], branch)
-            update[i, :, t], reset[i, :, t], cand[i, :, t], hiddens[i, :, t + 1] = z_t, r_t, c_t, h_t
+            z_t, r_t, c_t, h_t = gru_step(seq[:, t], h_t, branch)
+            if keep_trace:
+                update[i, :, t], reset[i, :, t], cand[i, :, t] = z_t, r_t, c_t
+                hiddens[i, :, t + 1] = h_t
+        final[i] = h_t
     return CsieTrace(inputs=seq, update=update, reset=reset, cand=cand, hiddens=hiddens,
-                     aggregate=aggregate(hiddens[:, :, -1]))
+                     aggregate=aggregate(final))
 
 
 def csie_backward(trace: CsieTrace, upstream: np.ndarray, p: CsieParams):

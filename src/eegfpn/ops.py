@@ -13,20 +13,20 @@ def as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def relu(x) -> np.ndarray:
-    return np.maximum(as_f64(x), 0.0)
-
-
 def relu_grad(activated, upstream) -> np.ndarray:
     """Backward through ReLU given its *output*; subgradient at 0 is 0."""
     return upstream * (activated > 0.0)
 
 
 def sigmoid(x) -> np.ndarray:
-    """Logistic function, computed without overflow for any finite input."""
+    """Logistic function without overflow for any finite input: 1/(1+z) where
+    x >= 0, z/(1+z) elsewhere, z = exp(-|x|), in two buffers of x's size."""
     x = as_f64(x)
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+    z, d = np.empty_like(x), np.empty_like(x)
+    np.exp(np.negative(np.abs(x, out=z), out=z), out=z)
+    np.divide(z, np.add(z, 1.0, out=d), out=z)
+    np.copyto(z, np.divide(1.0, d, out=d), where=x >= 0.0)
+    return z
 
 
 def softmax(logits, axis: int = -1) -> np.ndarray:

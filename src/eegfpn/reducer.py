@@ -45,7 +45,8 @@ def pooled_grid(ch: int, t: int):
 
 @dataclass
 class NsdruTrace:
-    """The input, the (n, c, ch//2, t//2) pool output and the output."""
+    """The input, the (n, c, ch//2, t//2) pool output (None without a trace)
+    and the output."""
 
     x: np.ndarray
     pooled: np.ndarray
@@ -132,7 +133,7 @@ def _conv1_relu(x, p: NsdruParams):
     return act1.reshape(-1, m, h, w)
 
 
-def nsdru_forward(x: np.ndarray, p: NsdruParams) -> NsdruTrace:
+def nsdru_forward(x: np.ndarray, p: NsdruParams, keep_trace: bool = True) -> NsdruTrace:
     """Compress (n, 1, ch, t) maps to (n, 1, ch//2, t//2).
 
     Per chunk: conv1 and its ReLU (`_conv1_relu`), pooled into a map with
@@ -154,13 +155,14 @@ def nsdru_forward(x: np.ndarray, p: NsdruParams) -> NsdruTrace:
     c = len(p.conv1_w)
     h2, w2 = pooled_grid(h, w)
     k2 = p.conv2_w[0].reshape(c, 9).T
-    pooled = np.empty((n, c, h2, w2))
+    pooled = np.empty((n, c, h2, w2)) if keep_trace else None
     act2 = np.empty((n, 1, h2, w2))
     for s in _chunks(x.shape):
         pp = np.zeros((c, len(x[s]), h2 + 2, w2 + 2))
         inner = pp[:, :, 1:1 + h2, 1:1 + w2]
         _maxpool(_conv1_relu(x[s], p), out=inner)
-        pooled[s] = inner.transpose(1, 0, 2, 3)
+        if keep_trace:
+            pooled[s] = inner.transpose(1, 0, 2, 3)
         tap_sums = (k2 @ pp.reshape(c, -1)).reshape((9,) + pp.shape[1:])
         out = act2[s, 0]
         out[...] = p.conv2_b[0]

@@ -158,12 +158,12 @@ def stratified_split(labels: np.ndarray, fraction: float, rng: np.random.Generat
 
 
 def _per_batch(rows, ch, t, params, config, keep, batch_size=64):
-    """`keep(trace, start)` for each batch of rows, in order. Only what
-    `keep` returns outlives a batch, so no batch's activations are alive
-    while the next batch's forward runs."""
+    """`keep(trace, start)` for each batch of rows, in order, from forwards
+    that keep no backward trace. Only what `keep` returns outlives a batch,
+    so no batch's activations are alive while the next batch's forward runs."""
     return [
         keep(model_forward(rows[start:start + batch_size], ch, t, params,
-                           config.ae_output_activation), start)
+                           config.ae_output_activation, keep_trace=False), start)
         for start in range(0, rows.shape[0], batch_size)
     ]
 

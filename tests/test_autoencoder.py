@@ -10,7 +10,7 @@ from eegfpn import autoencoder as ae
 from eegfpn import gradcheck
 from eegfpn.errors import ConfigError, ShapeError
 from eegfpn.model import init_params, n_params
-from eegfpn.ops import relu, relu_grad, sigmoid
+from eegfpn.ops import relu_grad, sigmoid
 
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4", "w5", "b5", "w6", "b6")
@@ -25,6 +25,10 @@ def zero_params(dims: ae.AeDims) -> ae.AeParams:
     for name in PARAM_NAMES:
         getattr(p, name)[...] = 0.0
     return p
+
+
+def relu(v):
+    return np.maximum(v, 0.0)
 
 
 def unrolled_forward(x, p, output_activation):

@@ -1,8 +1,10 @@
 """Pipeline assembly and the checkpoint format."""
 
+import dataclasses
 import hashlib
 import os
 import struct
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -195,6 +197,58 @@ class TestAssembly:
         grads = model_backward(trace, labels, params, 0.1)
         want = [(name, arr.shape) for name, arr in param_segments(params)]
         assert [(name, g.shape) for name, g in param_segments(grads)] == want
+
+
+# (config, batch): the toy model at k = 2, 1 and 6, and the default
+# 8 x 256 model at batch 64 with k = 6 and 1.
+FORWARD_ONLY_CASES = {
+    "toy-k2": (toy(), 3),
+    "toy-k1": (dataclasses.replace(toy(), k=1), 3),
+    "toy-k6": (dataclasses.replace(toy(), k=6), 3),
+    "8x256-k6": (RunConfig(), 64),
+    "8x256-k1": (RunConfig(k=1), 64),
+}
+
+
+class TestForwardOnly:
+    """A forward with `keep_trace=False` keeps only what a forward-only
+    caller reads, and reads it bitwise as the full forward does."""
+
+    @pytest.mark.parametrize("activation", ["relu", "linear"])
+    @pytest.mark.parametrize("config, n", FORWARD_ONLY_CASES.values(),
+                             ids=FORWARD_ONLY_CASES.keys())
+    def test_matches_the_full_forward_bitwise(self, monkeypatch, config, n, activation):
+        ch, t = config.ch, config.t
+        params = init_model(config, ch, t, seed=0)
+        params.nsdru.conv2_w[...] = np.abs(params.nsdru.conv2_w)
+        rows = np.random.default_rng(1).uniform(size=(n, ch * t))
+        calls, step = [0], gru.gru_step
+
+        def counted(*args):
+            calls[0] += 1
+            return step(*args)
+
+        monkeypatch.setattr(gru, "gru_step", counted)
+        full = model_forward(rows, ch, t, params, activation)
+        assert calls[0] == config.k * (t // 2)
+        light = model_forward(rows, ch, t, params, activation, keep_trace=False)
+        assert calls[0] == 2 * config.k * (t // 2)
+        assert np.ptp(full.probs[:, 0]) > 0.0  # not a constant forward
+        assert full.csie.update is not None and full.nsdru.pooled is not None
+        for name in ("probs", "csie.aggregate", "ae.recon"):
+            assert attrgetter(name)(light).tobytes() == attrgetter(name)(full).tobytes(), name
+        assert light.ae.inputs == [] and light.nsdru.pooled is None
+        assert [o is not None for o in light.ae.outs] == [True, True] + [False] * 4
+        assert all(getattr(light.csie, f) is None for f in ("update", "reset", "cand", "hiddens"))
+
+    def test_peak_memory(self):
+        # The full trace of this batch holds 52.9 MiB, most of it the
+        # GRU's four (k, n, T, h) arrays; forward-only holds about 7.5.
+        config = RunConfig()
+        params = init_model(config, 8, 256, seed=0)
+        rows = np.random.default_rng(1).uniform(size=(64, 8 * 256))
+        peak = traced_peak_mib(lambda: model_forward(rows, 8, 256, params, keep_trace=False))
+        assert peak < 16.0, f"forward-only peak {peak:.1f} MiB"
 
 
 class TestCheckpoint:

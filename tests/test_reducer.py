@@ -14,7 +14,10 @@ from traced_memory import traced_peak_mib
 from eegfpn import gradcheck, reducer
 from eegfpn.errors import ShapeError
 from eegfpn.model import init_params
-from eegfpn.ops import relu
+
+
+def relu(v):
+    return np.maximum(v, 0.0)
 
 
 def init_nsdru(hidden: int, seed: int) -> reducer.NsdruParams:

@@ -8,9 +8,10 @@ latent and the raw stage; and `gradcheck --seed` 0, 9 and 11.
 Most digests depend on the environment: synth's float64 `np.sin` takes a
 SIMD path, and every GEMM runs OpenBLAS kernels chosen for the CPU. The
 digest file therefore records where it was made (numpy version, BLAS name
-and version, `platform.machine()`, whether the CPU has AVX512F). In any
-other environment those comparisons skip, and the skip names the first
-difference. `cost.txt` and `config.txt` are compared everywhere.
+and version, `platform.machine()`, whether the CPU has AVX512F, and the
+CPU core whose kernels OpenBLAS runs, which `OPENBLAS_CORETYPE` can
+override). In any other environment those comparisons skip, and the skip
+names the first difference. `cost.txt` and `config.txt` are compared everywhere.
 
 A change that is meant to keep every number leaves the digest file alone.
 A change that moves numbers on purpose rewrites it with
@@ -25,6 +26,7 @@ passes.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import platform
@@ -50,6 +52,21 @@ OUTPUTS = RUN_FILES + ("eval.csv", "embeddings_latent.csv", "embeddings_raw.csv"
 PORTABLE = ("cost.txt", "config.txt")
 
 
+def openblas_core() -> str:
+    """The core numpy's bundled OpenBLAS chose its kernels for, or
+    "unknown" where no bundled library exports the name."""
+    here = Path(np.__file__).parent
+    libs = [*here.parent.glob("numpy.libs/*openblas*"), *here.glob(".dylibs/*openblas*")]
+    for lib in sorted(libs):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def environment() -> dict:
     """What the environment-dependent digests depend on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -58,6 +75,7 @@ def environment() -> dict:
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "machine": platform.machine(),
         "avx512f": str(bool(__cpu_features__.get("AVX512F"))),
+        "openblas_core": openblas_core(),
     }
 
 
