@@ -113,8 +113,7 @@ def model_forward(
         )
     n = rows.shape[0]
     ae_trace = ae.ae_forward(rows, params.ae, output_activation, keep_trace=keep_trace)
-    nsdru_trace = reducer.nsdru_forward(ae_trace.recon.reshape(n, 1, ch, t), params.nsdru,
-                                        keep_trace=keep_trace)
+    nsdru_trace = reducer.nsdru_forward(ae_trace.recon.reshape(n, 1, ch, t), params.nsdru)
     csie_trace = gru.csie_forward(nsdru_trace.act2[:, 0].transpose(0, 2, 1), params.csie,
                                   keep_trace=keep_trace)
     z = head_mod.logits(csie_trace.aggregate, params.head)
@@ -136,6 +135,8 @@ def model_backward(
     trace: ModelTrace, labels, params: ModelParams, lambda_recon: float,
 ) -> ModelParams:
     """Gradients of model_loss, as a ModelParams of gradient arrays."""
+    if trace.csie.hiddens is None:
+        raise ValueError("model_backward needs a trace from model_forward(..., keep_trace=True)")
     labels = np.asarray(labels, dtype=np.int64)
     n = trace.probs.shape[0]
     onehot = np.zeros_like(trace.probs)

@@ -10,8 +10,8 @@ and an odd trailing row or column belongs to no window.
 The forward walks the batch in chunks of whole samples, channel-first
 within a chunk: conv1 is one GEMM of the kernels against every cell's
 nine taps, and conv2 one GEMM of its taps against the pooled channels
-followed by nine shifted adds. conv1's output is not kept; the backward
-recomputes it over the same chunks.
+followed by nine shifted adds. Neither conv1's output nor its pool is
+kept; the backward recomputes both over the same chunks.
 """
 
 from dataclasses import dataclass, fields
@@ -45,11 +45,9 @@ def pooled_grid(ch: int, t: int):
 
 @dataclass
 class NsdruTrace:
-    """The input, the (n, c, ch//2, t//2) pool output (None without a trace)
-    and the output."""
+    """The input and the output; the backward rebuilds the rest from x."""
 
     x: np.ndarray
-    pooled: np.ndarray
     act2: np.ndarray
 
 
@@ -133,7 +131,7 @@ def _conv1_relu(x, p: NsdruParams):
     return act1.reshape(-1, m, h, w)
 
 
-def nsdru_forward(x: np.ndarray, p: NsdruParams, keep_trace: bool = True) -> NsdruTrace:
+def nsdru_forward(x: np.ndarray, p: NsdruParams) -> NsdruTrace:
     """Compress (n, 1, ch, t) maps to (n, 1, ch//2, t//2).
 
     Per chunk: conv1 and its ReLU (`_conv1_relu`), pooled into a map with
@@ -155,40 +153,39 @@ def nsdru_forward(x: np.ndarray, p: NsdruParams, keep_trace: bool = True) -> Nsd
     c = len(p.conv1_w)
     h2, w2 = pooled_grid(h, w)
     k2 = p.conv2_w[0].reshape(c, 9).T
-    pooled = np.empty((n, c, h2, w2)) if keep_trace else None
     act2 = np.empty((n, 1, h2, w2))
     for s in _chunks(x.shape):
         pp = np.zeros((c, len(x[s]), h2 + 2, w2 + 2))
         inner = pp[:, :, 1:1 + h2, 1:1 + w2]
         _maxpool(_conv1_relu(x[s], p), out=inner)
-        if keep_trace:
-            pooled[s] = inner.transpose(1, 0, 2, 3)
         tap_sums = (k2 @ pp.reshape(c, -1)).reshape((9,) + pp.shape[1:])
         out = act2[s, 0]
         out[...] = p.conv2_b[0]
         for tap, (i, j) in enumerate(np.ndindex(3, 3)):
             out += tap_sums[tap, :, i:i + h2, j:j + w2]
     np.maximum(act2, 0.0, out=act2)
-    return NsdruTrace(x=x, pooled=pooled, act2=act2)
+    return NsdruTrace(x=x, act2=act2)
 
 
 def nsdru_backward(trace: NsdruTrace, upstream: np.ndarray, p: NsdruParams):
     """Exact reverse pass; each pool window's gradient lands on its first max.
-    conv1's output is recomputed over the forward's chunks, so it is
-    bitwise the map the forward pooled. Returns (NsdruParams of
-    gradients, d_x)."""
+    conv1's output and its pool are recomputed over the forward's chunks,
+    so they are bitwise the forward's. Returns (NsdruParams of gradients,
+    d_x)."""
     if np.shape(upstream) != trace.act2.shape:
         raise ShapeError(
             f"upstream has shape {np.shape(upstream)}, the reducer output {trace.act2.shape}"
         )
-    d_act2 = relu_grad(trace.act2, upstream)
-    d_pooled, d_conv2_w, d_conv2_b = _conv3x3_backward(d_act2, trace.pooled, p.conv2_w)
     x = trace.x
-    act1 = np.concatenate([_conv1_relu(x[s], p) for s in _chunks(x.shape)], axis=1)
+    act1 = np.concatenate([_conv1_relu(x[s], p) for s in _chunks(x.shape)],
+                          axis=1).transpose(1, 0, 2, 3)
+    pooled = _maxpool(act1)
+    d_act2 = relu_grad(trace.act2, upstream)
+    d_pooled, d_conv2_w, d_conv2_b = _conv3x3_backward(d_act2, pooled, p.conv2_w)
     # The pool routes each window's gradient to a cell equal to the
     # window's max, so conv1's ReLU gate there is the pooled map's.
-    d_pooled = relu_grad(trace.pooled, d_pooled)
-    d_act1 = _maxpool_backward(d_pooled, act1.transpose(1, 0, 2, 3), trace.pooled)
+    d_pooled = relu_grad(pooled, d_pooled)
+    d_act1 = _maxpool_backward(d_pooled, act1, pooled)
     d_x, d_conv1_w, d_conv1_b = _conv3x3_backward(d_act1, x, p.conv1_w)
     grads = NsdruParams(
         conv1_w=d_conv1_w, conv1_b=d_conv1_b, conv2_w=d_conv2_w, conv2_b=d_conv2_b,

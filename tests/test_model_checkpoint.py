@@ -234,12 +234,22 @@ class TestForwardOnly:
         light = model_forward(rows, ch, t, params, activation, keep_trace=False)
         assert calls[0] == 2 * config.k * (t // 2)
         assert np.ptp(full.probs[:, 0]) > 0.0  # not a constant forward
-        assert full.csie.update is not None and full.nsdru.pooled is not None
-        for name in ("probs", "csie.aggregate", "ae.recon"):
+        assert full.csie.update is not None
+        for name in ("probs", "csie.aggregate", "ae.recon", "nsdru.act2"):
             assert attrgetter(name)(light).tobytes() == attrgetter(name)(full).tobytes(), name
-        assert light.ae.inputs == [] and light.nsdru.pooled is None
+        # The reducer has one forward: both traces hold its input and output.
+        for trace in (full, light):
+            assert [f.name for f in dataclasses.fields(trace.nsdru)] == ["x", "act2"]
+        assert light.ae.inputs == []
         assert [o is not None for o in light.ae.outs] == [True, True] + [False] * 4
         assert all(getattr(light.csie, f) is None for f in ("update", "reset", "cand", "hiddens"))
+
+    def test_backward_of_a_forward_only_trace_rejected(self):
+        params = init_model(toy(), 4, 16, seed=0)
+        rows = np.random.default_rng(0).uniform(size=(3, 64))
+        light = model_forward(rows, 4, 16, params, keep_trace=False)
+        with pytest.raises(ValueError, match="keep_trace"):
+            model_backward(light, [0, 1, 0], params, 0.1)
 
     def test_peak_memory(self):
         # The full trace of this batch holds 52.9 MiB, most of it the

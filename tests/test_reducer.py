@@ -74,6 +74,13 @@ def blas_sums_in_order() -> bool:
     return all(got[i, j] == fma_sum(zip(a[i], b[:, j])) for i, j in np.ndindex(got.shape))
 
 
+def pooled_of(x, p):
+    """The (n, c, ch//2, t//2) pool of conv1's output, as the backward
+    rebuilds it: the private kernels over the forward's chunks."""
+    return np.concatenate([reducer._maxpool(reducer._conv1_relu(x[s], p))
+                           for s in reducer._chunks(x.shape)], axis=1).transpose(1, 0, 2, 3)
+
+
 def forward_in_gemm_order(x, p):
     """(pooled, act2) of nsdru_forward, one cell at a time in its GEMMs'
     order. conv1: each channel's nine tap products, row-major, fused from
@@ -133,36 +140,35 @@ class TestForward:
         p = init_nsdru(4, seed=3)
         trace = reducer.nsdru_forward(np.random.default_rng(3).normal(size=(2, 1, 8, 10)), p)
         act1 = reducer._conv1_relu(trace.x, p)
-        for arr in (act1, trace.pooled, trace.act2):
+        for arr in (act1, pooled_of(trace.x, p), trace.act2):
             assert np.all(arr >= 0.0)
         assert np.any(act1 == 0.0) and np.any(trace.act2 == 0.0)
 
     @pytest.mark.parametrize("grid", [(64, 256), (128, 300)], ids=["two-per-chunk", "one-per-chunk"])
     def test_batch_invariant_across_chunks(self, grid):
         # A batch the forward splits into several chunks gives bitwise the
-        # output of one call per sample.
+        # output of one call per sample, and so does the pool the backward
+        # rebuilds over those chunks.
         x = np.random.default_rng(11).uniform(size=(5, 1) + grid)
         assert len(reducer._chunks(x.shape)) > 1
         p = init_nsdru(8, seed=11)
         p.conv2_w[...] = np.abs(p.conv2_w)
-        trace = reducer.nsdru_forward(x, p)
+        trace, pooled = reducer.nsdru_forward(x, p), pooled_of(x, p)
         for i in range(len(x)):
             alone = reducer.nsdru_forward(x[i:i + 1], p)
             assert trace.act2[i].tobytes() == alone.act2[0].tobytes()
-            assert trace.pooled[i].tobytes() == alone.pooled[0].tobytes()
+            assert pooled[i].tobytes() == pooled_of(x[i:i + 1], p)[0].tobytes()
 
     def test_pool_dominance_under_scaling(self):
         # With an identity first conv, the pooled grid is the window max;
         # doubling the unique max doubles that pooled value.
         p = delta_passthrough()
         x = np.random.default_rng(5).uniform(0.1, 1.0, size=(1, 1, 4, 4))
-        trace = reducer.nsdru_forward(x, p)
         window = x[0, 0, 0:2, 0:2]
         i, j = np.unravel_index(np.argmax(window), window.shape)
         x2 = x.copy()
         x2[0, 0, i, j] *= 2.0
-        trace2 = reducer.nsdru_forward(x2, p)
-        assert trace2.pooled[0, 0, 0, 0] == pytest.approx(2.0 * trace.pooled[0, 0, 0, 0])
+        assert pooled_of(x2, p)[0, 0, 0, 0] == pytest.approx(2.0 * pooled_of(x, p)[0, 0, 0, 0])
 
     def test_too_small_grid_rejected(self):
         with pytest.raises(ShapeError):
@@ -236,13 +242,13 @@ class TestBackward:
         x[:, :, 8:24] = 0.0
         p = init_nsdru(8, seed=13)
         p.conv1_b[...] = -0.05
-        trace = reducer.nsdru_forward(x, p)
         assert len(reducer._chunks(x.shape)) == 3
-        assert np.any(trace.pooled == 0.0)
-        up = np.random.default_rng(14).uniform(1.0, 2.0, size=trace.pooled.shape)
         act1 = np.concatenate([reducer._conv1_relu(x[s], p) for s in reducer._chunks(x.shape)],
                               axis=1).transpose(1, 0, 2, 3)
-        routed = reducer._maxpool_backward(up, act1, trace.pooled)
+        pooled = reducer._maxpool(act1)
+        assert np.any(pooled == 0.0)
+        up = np.random.default_rng(14).uniform(1.0, 2.0, size=pooled.shape)
+        routed = reducer._maxpool_backward(up, act1, pooled)
         hits = sum(cell != 0.0 for cell in reducer._pool_cells(routed))
         np.testing.assert_array_equal(hits, 1)
         assert math.fsum(routed.ravel()) == math.fsum(up.ravel())
@@ -293,7 +299,7 @@ class TestConv3x3:
         trace = reducer.nsdru_forward(x, p)
         np.testing.assert_allclose(reducer._conv1_relu(x, p).transpose(1, 0, 2, 3), act1,
                                    atol=1e-12)
-        np.testing.assert_allclose(trace.pooled, pooled, atol=1e-12)
+        np.testing.assert_allclose(pooled_of(x, p), pooled, atol=1e-12)
         np.testing.assert_allclose(trace.act2, act2, atol=1e-12)
 
     @pytest.mark.parametrize("hidden", [2, 3, 4])
@@ -317,7 +323,7 @@ class TestConv3x3:
         pooled, act2 = forward_in_gemm_order(x, p)
         trace = reducer.nsdru_forward(x, p)
         assert np.any(act2 > 0.0) and np.any(pooled == 0.0)
-        assert trace.pooled.tobytes() == pooled.tobytes()
+        assert pooled_of(x, p).tobytes() == pooled.tobytes()
         assert trace.act2.tobytes() == act2.tobytes()
 
     def test_backward_matches_finite_differences(self):
@@ -407,11 +413,11 @@ class TestMaxPool:
 
 class TestMemory:
     def test_forward_peak_stays_small(self):
-        # conv1's output exists one chunk at a time: on a 64-sample
-        # 128 x 256 batch with 8 channels the peak is the (n, c, 64, 128)
-        # pool output (32 MiB), the output (4 MiB) and one chunk's
-        # temporaries, not the 128 MiB conv1 output of the whole batch.
+        # conv1's output and its pool exist one chunk at a time: on a
+        # 64-sample 128 x 256 batch with 8 channels the peak is the output
+        # (4 MiB) and one chunk's temporaries (about 6 MiB), not the 128 MiB
+        # conv1 output of the whole batch or its 32 MiB pool.
         x = np.random.default_rng(0).uniform(size=(64, 1, 128, 256))
         p = init_nsdru(8, seed=0)
         peak = traced_peak_mib(lambda: reducer.nsdru_forward(x, p))
-        assert peak < 80.0, f"forward peak {peak:.1f} MiB"
+        assert peak < 16.0, f"forward peak {peak:.1f} MiB"
