@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .ops import relu_grad, sigmoid
+from .ops import sigmoid
 
 OUTPUT_ACTIVATIONS = ("relu", "linear")
 N_LAYERS = 6
@@ -69,15 +69,14 @@ def ae_shapes(dims: AeDims) -> AeParams:
 
 @dataclass
 class AeTrace:
-    """Layer n read `inputs[n-1]` and produced `outs[n-1]`, before any skip
-    add. Without a trace `inputs` is empty and `outs` keeps only the skip
-    sources, None elsewhere."""
+    """Layer n read `inputs[n-1]`; `gates[n-1]` is where its ReLU passed
+    (`h > 0`), None for a linear output layer. A ReLU's backward needs
+    only that bit, so training and inference keep this one trace."""
 
     x: np.ndarray
     inputs: list
-    outs: list
+    gates: list
     recon: np.ndarray
-    output_activation: str  # the forward's, so the backward cannot differ
 
 
 def _dense(x, w, b):
@@ -90,13 +89,7 @@ def _dense(x, w, b):
     return out
 
 
-def _relu_at(n: int, output_activation: str) -> bool:
-    """Every layer but a linear output one ends in a ReLU."""
-    return n < N_LAYERS or output_activation == "relu"
-
-
-def ae_forward(x: np.ndarray, p: AeParams, output_activation: str = "relu",
-               keep_trace: bool = True) -> AeTrace:
+def ae_forward(x: np.ndarray, p: AeParams, output_activation: str = "relu") -> AeTrace:
     """Layers 1-6 in order: (n, d) narrows to (n, z) and widens back."""
     if output_activation not in OUTPUT_ACTIVATIONS:
         raise ConfigError(
@@ -105,21 +98,21 @@ def ae_forward(x: np.ndarray, p: AeParams, output_activation: str = "relu",
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"encoder expects a 2-D batch, got shape {x.shape}")
-    h, inputs, outs = x, [], []
+    h, inputs, gates = x, [], []
     for n in range(1, N_LAYERS + 1):
-        if keep_trace:
-            inputs.append(h)
+        inputs.append(h)
         h = _dense(h, getattr(p, f"w{n}"), getattr(p, f"b{n}"))
-        if _relu_at(n, output_activation):
+        if n < N_LAYERS or output_activation == "relu":
             np.maximum(h, 0.0, out=h)
-        outs.append(h if keep_trace or n in SKIP_FROM.values() else None)
-        if n in SKIP_FROM:
-            skip = outs[SKIP_FROM[n] - 1]
+            gates.append(h > 0.0)
+        else:
+            gates.append(None)
+        if n in SKIP_FROM:  # an encoder output is the next layer's input
+            skip = inputs[SKIP_FROM[n]]
             if h.shape != skip.shape:
                 raise ShapeError(f"skip add needs {skip.shape}, decoder produced {h.shape}")
             h = h + skip
-    return AeTrace(x=x, inputs=inputs, outs=outs, recon=sigmoid(h),
-                   output_activation=output_activation)
+    return AeTrace(x=x, inputs=inputs, gates=gates, recon=sigmoid(h))
 
 
 def reconstruction_loss(recon: np.ndarray, target: np.ndarray) -> float:
@@ -152,8 +145,8 @@ def ae_backward(trace: AeTrace, d_recon: np.ndarray, p: AeParams):
             d = d + skip_grads.pop(n)
         if n in SKIP_FROM:  # a sum passes its gradient to both addends
             skip_grads[SKIP_FROM[n]] = d
-        if _relu_at(n, trace.output_activation):
-            d = relu_grad(trace.outs[n - 1], d)
+        if trace.gates[n - 1] is not None:
+            d = d * trace.gates[n - 1]
         grads[f"w{n}"] = d.T @ trace.inputs[n - 1]
         grads[f"b{n}"] = d.sum(axis=0)
         if n > 1:

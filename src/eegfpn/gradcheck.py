@@ -3,8 +3,6 @@ whole pipeline, all built on grad_check. The CLI's gradcheck command
 and the test suite share these so there is exactly one definition of
 what "gradients verified" means."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autoencoder as ae
@@ -55,21 +53,14 @@ def _jitter(params, rng, scale=HARNESS_JITTER):
         arr += rng.uniform(-scale, scale, size=arr.shape)
 
 
-@dataclass
-class GradCheckReport:
-    max_relative_error: float
-    worst_parameter_index: int
-    epsilon_used: float
-
-
-def grad_check(params, loss_of, grads_of, epsilon: float = 1e-5) -> GradCheckReport:
+def grad_check(params, loss_of, grads_of, epsilon: float = 1e-5) -> float:
     """Compare the analytic gradient of every array of `params` against
     central finite differences, parameter by parameter in segment order.
 
     `loss_of(p) -> float` must be deterministic; `grads_of(p)` returns the
     analytic gradients in p's type. Both take parameters of params' type.
-    The per-element relative error is |a - n| / max(|a|, |n|, 1e-8), and
-    the worst index counts into the packed segments.
+    Returns the worst per-element relative error,
+    |a - n| / max(|a|, |n|, 1e-8).
     """
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -80,7 +71,6 @@ def grad_check(params, loss_of, grads_of, epsilon: float = 1e-5) -> GradCheckRep
             f"analytic gradient shape {analytic.shape} differs from parameters {theta.shape}"
         )
     worst = 0.0
-    worst_idx = 0
     for i in range(theta.size):
         bumped = theta.copy()
         bumped[i] = theta[i] + epsilon
@@ -91,18 +81,11 @@ def grad_check(params, loss_of, grads_of, epsilon: float = 1e-5) -> GradCheckRep
             raise NumericError(f"loss is non-finite near parameter index {i}")
         numeric = (f_plus - f_minus) / (2.0 * epsilon)
         a = analytic[i]
-        rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-        if rel > worst:
-            worst = rel
-            worst_idx = i
-    return GradCheckReport(
-        max_relative_error=worst,
-        worst_parameter_index=worst_idx,
-        epsilon_used=epsilon,
-    )
+        worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
+    return worst
 
 
-def _check_mse(params, target, forward, output, backward) -> GradCheckReport:
+def _check_mse(params, target, forward, output, backward) -> float:
     """grad_check of the MSE between `forward(p)`'s `output` attribute and
     `target`; `backward(trace, upstream, p)` returns the gradients."""
     def loss_of(p):
@@ -115,7 +98,7 @@ def _check_mse(params, target, forward, output, backward) -> GradCheckReport:
     return grad_check(params, loss_of, grads_of)
 
 
-def check_autoencoder(seed: int, output_activation: str = "relu") -> GradCheckReport:
+def check_autoencoder(seed: int, output_activation: str = "relu") -> float:
     """MSE reconstruction loss through encoder, skips and decoder."""
     rng = np.random.default_rng(seed)
     params = init_params(ae.ae_shapes(ae.AeDims(d=12, e1=8, e2=6, z=3)), seed)
@@ -128,7 +111,7 @@ def check_autoencoder(seed: int, output_activation: str = "relu") -> GradCheckRe
     )
 
 
-def check_nsdru(seed: int) -> GradCheckReport:
+def check_nsdru(seed: int) -> float:
     """MSE against a fixed target after conv/pool/conv."""
     rng = np.random.default_rng(seed)
     params = init_params(reducer.nsdru_shapes(8), seed)
@@ -141,7 +124,7 @@ def check_nsdru(seed: int) -> GradCheckReport:
     )
 
 
-def check_csie(seed: int) -> GradCheckReport:
+def check_csie(seed: int) -> float:
     """MSE on the branch-averaged final state, T=3 steps."""
     rng = np.random.default_rng(seed)
     params = init_params(gru.csie_shapes(f=2, h=4, k=2), seed)
@@ -153,7 +136,7 @@ def check_csie(seed: int) -> GradCheckReport:
     )
 
 
-def check_full_pipeline(seed: int) -> GradCheckReport:
+def check_full_pipeline(seed: int) -> float:
     """Joint loss (cross-entropy + weighted reconstruction MSE) against
     every trainable parameter at once, on toy_config()."""
     config = toy_config()
@@ -175,7 +158,7 @@ def check_full_pipeline(seed: int) -> GradCheckReport:
 
 
 def run_suite(seed: int):
-    """All four harnesses; {stage: GradCheckReport}."""
+    """All four harnesses; {stage: worst relative error}."""
     return {
         "autoencoder": check_autoencoder(seed),
         "nsdru": check_nsdru(seed),

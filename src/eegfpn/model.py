@@ -99,7 +99,7 @@ def model_forward(
     """The one check of a batch: (n, ch*t) rows, as wide as the model's
     input. The reducer sees the reconstruction as (n, 1, ch, t) maps and
     the ensemble sees act2's rows as features and its columns as time.
-    With `keep_trace=False` the trace holds only what a forward-only caller reads."""
+    With `keep_trace=False` the GRU ensemble keeps no backward trace."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != ch * t:
         raise ShapeError(
@@ -112,7 +112,7 @@ def model_forward(
             f"rows have width {ch * t} but the model was trained on width {want}"
         )
     n = rows.shape[0]
-    ae_trace = ae.ae_forward(rows, params.ae, output_activation, keep_trace=keep_trace)
+    ae_trace = ae.ae_forward(rows, params.ae, output_activation)
     nsdru_trace = reducer.nsdru_forward(ae_trace.recon.reshape(n, 1, ch, t), params.nsdru)
     csie_trace = gru.csie_forward(nsdru_trace.act2[:, 0].transpose(0, 2, 1), params.csie,
                                   keep_trace=keep_trace)

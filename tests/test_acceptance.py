@@ -33,8 +33,7 @@ def test_criterion_1_gradient_suite():
     t0 = time.perf_counter()
     worst = 0.0
     for seed in gradcheck.FULL_PIPELINE_SEEDS:
-        for stage, report in gradcheck.run_suite(seed).items():
-            worst = max(worst, report.max_relative_error)
+        worst = max(worst, *gradcheck.run_suite(seed).values())
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-4 and elapsed < 60.0
     _report(1, "gradient suite", ok,
@@ -54,7 +53,7 @@ def test_criterion_2_shape_conformance():
         trace = model_forward(rows, ch, t, params)
         e1, e2, z, d = config.e1, config.e2, config.z, ch * t
         chain = (
-            [o.shape for o in trace.ae.outs] == [(2, w) for w in (e1, e2, z, e2, e1, d)]
+            [g.shape for g in trace.ae.gates] == [(2, w) for w in (e1, e2, z, e2, e1, d)]
             and [i.shape for i in trace.ae.inputs] == [(2, w) for w in (d, e1, e2, z, e2, e1)]
             and trace.ae.recon.shape == (2, d)
             and trace.nsdru.act2.shape == (2, 1, ch // 2, t // 2)

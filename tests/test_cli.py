@@ -8,7 +8,7 @@ import pytest
 
 from eegfpn import checkpoint, cli, gradcheck, model, signals
 from eegfpn.config import parse_config
-from eegfpn.gradcheck import GradCheckReport
+from eegfpn.errors import ConfigError, FormatError, NumericError, ParseError, ShapeError
 
 TINY_CONFIG = """
 ch = 4
@@ -275,9 +275,7 @@ class TestGradcheck:
 
     def test_failure_exits_3(self, monkeypatch, capsys):
         def fake_suite(seed):
-            return {"stage": GradCheckReport(max_relative_error=1.0,
-                                             worst_parameter_index=0,
-                                             epsilon_used=1e-5)}
+            return {"stage": 1.0}
         monkeypatch.setattr(cli.gradcheck, "run_suite", fake_suite)
         assert cli.main(["gradcheck"]) == 3
         assert "failed" in capsys.readouterr().err
@@ -292,6 +290,18 @@ class TestCost:
 
     def test_invalid_override_exits_2(self, capsys):
         assert cli.main(["cost", "--ch", "1"]) == 2
+
+    @pytest.mark.parametrize("error, code", [
+        (ConfigError, 2), (ParseError, 2), (FormatError, 2), (ShapeError, 2),
+        (NumericError, 3),
+    ], ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_package_error_exit_code(self, monkeypatch, capsys, error, code):
+        def fail(args):
+            raise error(f"{error.__name__} from the command")
+
+        monkeypatch.setattr(cli, "_cmd_cost", fail)
+        assert cli.main(["cost"]) == code
+        assert f"error: {error.__name__} from the command" in capsys.readouterr().err
 
 
 class TestExport:

@@ -17,27 +17,25 @@ class Theta:
 
 class TestGradCheck:
     def test_quadratic_is_exact_to_fd_accuracy(self):
-        report = grad_check(
+        error = grad_check(
             Theta(np.array([1.0, 2.0])),
             lambda p: float(np.sum(p.v ** 2)), lambda p: Theta(2.0 * p.v),
         )
-        assert report.max_relative_error < 1e-8
-        assert report.epsilon_used == 1e-5
+        assert error < 1e-8
 
     def test_constant_loss_has_zero_error(self):
-        report = grad_check(
+        error = grad_check(
             Theta(np.array([3.0, -1.0, 0.5])),
             lambda p: 4.2, lambda p: Theta(np.zeros_like(p.v)),
         )
-        assert report.max_relative_error == 0.0
+        assert error == 0.0
 
     def test_wrong_gradient_is_flagged(self):
-        report = grad_check(
+        error = grad_check(
             Theta(np.array([1.5])),
             lambda p: float(np.sum(p.v ** 2)), lambda p: Theta(3.0 * p.v),
         )
-        assert report.max_relative_error > 0.2
-        assert report.worst_parameter_index == 0
+        assert error > 0.2
 
     def test_nonfinite_loss_raises(self):
         with pytest.raises(NumericError):

@@ -227,8 +227,7 @@ class TestEnsemble:
 class TestBackward:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_grad_check(self, seed):
-        report = gradcheck.check_csie(seed)
-        assert report.max_relative_error < 1e-4
+        assert gradcheck.check_csie(seed) < 1e-4
 
     def test_identical_branches_get_identical_gradients(self):
         branch = init_branch(2, 4, seed=7)

@@ -199,8 +199,7 @@ class TestForward:
 class TestBackward:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_grad_check(self, seed):
-        report = gradcheck.check_nsdru(seed)
-        assert report.max_relative_error < 1e-4
+        assert gradcheck.check_nsdru(seed) < 1e-4
 
     def test_zero_upstream_zero_grads(self):
         p = init_nsdru(4, seed=2)
