@@ -6,8 +6,10 @@ transform with frequency prewarping, factored into stable second-order
 sections and applied zero-phase: one forward pass of the whole cascade,
 then one pass of it over the time-reversed result, so filtering adds no
 group delay. Both passes start from a zero state, with no edge padding.
+Up to OPERATOR_MAX_T samples they run as one product with their T x T matrix.
 """
 
+import functools
 import math
 import os
 import stat
@@ -29,6 +31,8 @@ SYNTH_AMPLITUDE_UV = 10.0
 EPOCH_MAGIC = b"EEG1"
 EPOCH_VERSION = 1
 _HEADER = struct.Struct("<4sIIIfB15s")
+# Past this length the cascade's loop is faster than the T x T product.
+OPERATOR_MAX_T = 1024
 
 
 def _check_epoch_shape(ch: int, t: int):
@@ -145,32 +149,44 @@ def design_bandpass(spec: FilterSpec, sampling_rate: float) -> BiquadCascade:
 
 
 def _run_cascade(sections: np.ndarray, y: np.ndarray):
-    """Single forward pass of the cascade along axis 0 (time), in place.
+    """The cascade along axis 0 (time), in place, forward and then time reversed.
 
     Each step reads and writes one row of `y`; every operation is
     elementwise, so the result for any one signal does not depend on what
     else is stacked with it."""
-    for b0, b1, b2, a1, a2 in sections:
-        s1 = np.zeros(y.shape[1:])
-        s2 = np.zeros(y.shape[1:])
-        for n in range(y.shape[0]):
-            xn = y[n]
-            yn = b0 * xn + s1
-            s1 = b1 * xn - a1 * yn + s2
-            s2 = b2 * xn - a2 * yn
-            y[n] = yn
+    for view in (y, y[::-1]):
+        for b0, b1, b2, a1, a2 in sections:
+            s1 = s2 = np.zeros(y.shape[1:])
+            for n in range(y.shape[0]):
+                xn = view[n]
+                yn = b0 * xn + s1
+                s1 = b1 * xn - a1 * yn + s2
+                s2 = b2 * xn - a2 * yn
+                view[n] = yn
+
+
+@functools.lru_cache(maxsize=4)
+def _zero_phase_operator(sections: bytes, t: int) -> np.ndarray:
+    """The read-only (t, t) matrix M for which x @ M filters x (..., t):
+    the cascade run over the columns of the identity, transposed."""
+    y = np.eye(t)
+    _run_cascade(np.frombuffer(sections).reshape(-1, 5), y)
+    op = np.ascontiguousarray(y.T)
+    op.setflags(write=False)
+    return op
 
 
 def apply_bandpass(x: np.ndarray, cascade: BiquadCascade) -> np.ndarray:
     """Zero-phase filtering of every signal along the last axis (time).
-    Returns a new array, laid out time-major in memory."""
+    Returns a new array: C order up to OPERATOR_MAX_T samples, else time-major."""
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise NumericError("samples contain non-finite values")
+    if x.shape[-1] <= OPERATOR_MAX_T:
+        return x @ _zero_phase_operator(cascade.sections.tobytes(), x.shape[-1])
     # A time-major copy, so each step of the cascade reads one contiguous row.
     y = np.moveaxis(x, -1, 0).copy()
     _run_cascade(cascade.sections, y)
-    _run_cascade(cascade.sections, y[::-1])  # the same pass, time reversed
     return np.moveaxis(y, 0, -1)
 
 
@@ -182,8 +198,7 @@ def minmax_normalize(x: np.ndarray) -> np.ndarray:
     """Scale each signal along the last axis (time) into [0,1]; a
     zero-range signal maps to 0.5."""
     lo = x.min(axis=-1, keepdims=True)
-    hi = x.max(axis=-1, keepdims=True)
-    span = hi - lo
+    span = x.max(axis=-1, keepdims=True) - lo
     flat = span[..., 0] == 0.0
     span[flat] = 1.0
     # C order whatever the input's layout, so rows reshape without a copy.
@@ -324,7 +339,7 @@ def write_epoch_file(epoch: Epoch, path: str):
         raise FormatError(
             f"{path}: sampling_rate {epoch.sampling_rate} does not fit the header's float32"
         )
-    # Channel-major whatever the layout (`filter` passes time-major samples).
+    # Channel-major whatever the layout (`filter` gives time-major samples past OPERATOR_MAX_T).
     atomic_write(path, header, np.ascontiguousarray(epoch.samples, dtype="<f4"))
 
 

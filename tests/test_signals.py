@@ -130,9 +130,10 @@ class TestZeroPhaseFiltering:
         np.testing.assert_array_equal(out[1], signals.apply_bandpass(x[1], self.cascade))
 
     def test_input_left_unchanged(self):
-        # The cascade runs in place on a copy; a (1, t) input is the case
-        # where a transposed view would already count as contiguous.
-        x = np.random.default_rng(5).normal(size=(1, 300))
+        # Past OPERATOR_MAX_T the cascade runs in place on a copy; a (1, t)
+        # input is the case where a transposed view would already count as
+        # contiguous.
+        x = np.random.default_rng(5).normal(size=(1, signals.OPERATOR_MAX_T + 1))
         before = x.copy()
         signals.apply_bandpass(x, self.cascade)
         np.testing.assert_array_equal(x, before)
@@ -151,18 +152,41 @@ class TestZeroPhaseFiltering:
         )
 
 
-    def test_zero_state_forward_then_time_reversed_pass(self):
+    # T on both sides of OPERATOR_MAX_T: the operator and the cascade.
+    @pytest.mark.parametrize("t", [4, 256, 1024, 1025])
+    @pytest.mark.parametrize("fs", [250.0, 1000.0])
+    def test_zero_state_forward_then_time_reversed_pass(self, fs, t):
         # The edges are not padded: the filter is sosfilt from a zero state,
         # then sosfilt from a zero state over the time-reversed result.
         # README "Filter edges" gives how far that sits from sosfiltfilt.
-        x = np.random.default_rng(0).normal(size=(64, 256))
-        cascade = signals.design_bandpass(FilterSpec(), 250.0)
+        x = np.random.default_rng(0).normal(size=(64, t))
+        cascade = signals.design_bandpass(FilterSpec(), fs)
         sos = np.insert(cascade.sections, 3, 1.0, axis=1)  # scipy's a0 = 1
         forward = scipy.signal.sosfilt(sos, x, axis=-1)
         expected = scipy.signal.sosfilt(sos, forward[:, ::-1], axis=-1)[:, ::-1]
         np.testing.assert_allclose(
             signals.apply_bandpass(x, cascade), expected, rtol=0, atol=1e-12
         )
+
+    def test_operator_cached_read_only_and_per_rate(self):
+        key = self.cascade.sections.tobytes()
+        op = signals._zero_phase_operator(key, 256)
+        assert signals._zero_phase_operator(key, 256) is op
+        hits = signals._zero_phase_operator.cache_info().hits
+        signals.apply_bandpass(np.ones((2, 256)), self.cascade)
+        assert signals._zero_phase_operator.cache_info().hits == hits + 1
+        assert op.shape == (256, 256) and op.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            op[0, 0] = 1.0
+        other = signals.design_bandpass(FilterSpec(0.5, 30.0, 4), 250.0)
+        assert not np.array_equal(signals._zero_phase_operator(other.sections.tobytes(), 256), op)
+
+    @pytest.mark.parametrize("t", [4, 256, signals.OPERATOR_MAX_T])
+    def test_operator_output_is_c_order(self, t):
+        # Each signal's samples are one contiguous row, so minmax_normalize
+        # and the reshape to rows read them in place.
+        x = np.random.default_rng(6).normal(size=(3, 2, t))
+        assert signals.apply_bandpass(x, self.cascade).flags.c_contiguous
 
 
 class TestNormalizeAndFlatten:
