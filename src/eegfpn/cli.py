@@ -89,13 +89,14 @@ def _cmd_synth(args) -> int:
 
 def _cmd_filter(args) -> int:
     config = _load_config(args.config)
-    epochs = signals.load_dataset(args.data)
-    if not epochs:
+    paths = signals.read_manifest(args.data)
+    if not paths:
         raise ConfigError(f"manifest {args.data} lists no epochs")
+    epochs = [signals.read_epoch_file(path) for path in paths]
     spec = signals.FilterSpec(config.f_low, config.f_high, config.filter_order)
 
     def filtered():
-        for path, epoch in zip(signals.read_manifest(args.data), epochs):
+        for path, epoch in zip(paths, epochs):
             cascade = signals.design_bandpass(spec, epoch.sampling_rate)
             samples = signals.apply_bandpass(epoch.samples, cascade)
             yield os.path.basename(path), dataclasses.replace(epoch, samples=samples)

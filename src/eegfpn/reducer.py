@@ -7,14 +7,15 @@ The kernels here serve that one geometry. Convolution is cross-correlation
 grid is kept; the pool's 2x2 windows tile the grid from its top-left cell,
 and an odd trailing row or column belongs to no window.
 
-The forward walks the batch in chunks of whole samples, channel-first
-within a chunk: conv1 is one GEMM of the kernels against every cell's
-nine taps, and conv2 one GEMM of its taps against the pooled channels
-followed by nine shifted adds. Neither conv1's output nor its pool is
-kept; the backward recomputes both over the same chunks.
+Both passes walk the batch in chunks of whole samples and hold one
+chunk's conv1 output and pool at a time, channel-first: conv1 is one
+GEMM of the kernels against every cell's nine taps, and conv2 one GEMM
+of its taps against the pooled channels followed by nine shifted adds.
+The backward recomputes both maps over the forward's chunks.
 """
 
 from dataclasses import dataclass, fields
+from functools import reduce
 
 import numpy as np
 
@@ -169,25 +170,26 @@ def nsdru_forward(x: np.ndarray, p: NsdruParams) -> NsdruTrace:
 
 def nsdru_backward(trace: NsdruTrace, upstream: np.ndarray, p: NsdruParams):
     """Exact reverse pass; each pool window's gradient lands on its first max.
-    conv1's output and its pool are recomputed over the forward's chunks,
-    so they are bitwise the forward's. Returns (NsdruParams of gradients,
-    d_x)."""
+    Per forward chunk it recomputes conv1's output and pool (bitwise the
+    forward's) and writes that chunk's rows of d_x; the parameter gradients
+    are summed over chunks. Returns (NsdruParams of gradients, d_x)."""
     if np.shape(upstream) != trace.act2.shape:
         raise ShapeError(
             f"upstream has shape {np.shape(upstream)}, the reducer output {trace.act2.shape}"
         )
     x = trace.x
-    act1 = np.concatenate([_conv1_relu(x[s], p) for s in _chunks(x.shape)],
-                          axis=1).transpose(1, 0, 2, 3)
-    pooled = _maxpool(act1)
     d_act2 = relu_grad(trace.act2, upstream)
-    d_pooled, d_conv2_w, d_conv2_b = _conv3x3_backward(d_act2, pooled, p.conv2_w)
-    # The pool routes each window's gradient to a cell equal to the
-    # window's max, so conv1's ReLU gate there is the pooled map's.
-    d_pooled = relu_grad(pooled, d_pooled)
-    d_act1 = _maxpool_backward(d_pooled, act1, pooled)
-    d_x, d_conv1_w, d_conv1_b = _conv3x3_backward(d_act1, x, p.conv1_w)
-    grads = NsdruParams(
-        conv1_w=d_conv1_w, conv1_b=d_conv1_b, conv2_w=d_conv2_w, conv2_b=d_conv2_b,
-    )
-    return grads, d_x
+    d_x = np.empty(x.shape)
+    parts = []
+    for s in _chunks(x.shape):
+        act1 = _conv1_relu(x[s], p).transpose(1, 0, 2, 3)
+        pooled = _maxpool(act1)
+        d_pooled, d_conv2_w, d_conv2_b = _conv3x3_backward(d_act2[s], pooled, p.conv2_w)
+        # The pool routes each window's gradient to a cell equal to the
+        # window's max, so conv1's ReLU gate there is the pooled map's.
+        d_pooled = relu_grad(pooled, d_pooled)
+        d_act1 = _maxpool_backward(d_pooled, act1, pooled)
+        d_x[s], d_conv1_w, d_conv1_b = _conv3x3_backward(d_act1, x[s], p.conv1_w)
+        parts.append((d_conv1_w, d_conv1_b, d_conv2_w, d_conv2_b))
+    # reduce returns one chunk's gradients as they are; np.sum's zero start flips -0.0.
+    return NsdruParams(*(reduce(np.add, g) for g in zip(*parts))), d_x

@@ -114,6 +114,20 @@ class TestFilter:
         # The originals are untouched.
         assert not np.array_equal(filtered[0].samples, original[0].samples)
 
+    def test_manifest_read_once(self, tmp_path, dataset, monkeypatch, capsys):
+        # The output names come from the same read of the manifest as the
+        # epochs, so a manifest that changes mid-run cannot pair a file
+        # with another file's name.
+        reads = []
+        read_manifest = signals.read_manifest
+        monkeypatch.setattr(signals, "read_manifest",
+                            lambda path: reads.append(path) or read_manifest(path))
+        out = tmp_path / "filtered"
+        assert cli.main(["filter", "--data", dataset, "--out", str(out)]) == 0
+        assert reads == [dataset]
+        names = [os.path.basename(path) for path in read_manifest(dataset)]
+        assert (out / "manifest.txt").read_text().split() == names
+
     def test_each_file_filtered_at_its_own_rate(self, tmp_path, capsys):
         src = tmp_path / "mixed"
         src.mkdir()

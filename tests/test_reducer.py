@@ -1,10 +1,11 @@
 """Conv/pool compressor: its convolutions and 2x2 pool against explicit
 loops and finite differences, the forward's bytes against its GEMMs'
 summation order, batch invariance across chunks, the halving rule, pooling
-dominance, gradients and the forward's memory."""
+dominance, gradients and the memory of both passes."""
 
 import math
 import re
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -148,16 +149,30 @@ class TestForward:
     def test_batch_invariant_across_chunks(self, grid):
         # A batch the forward splits into several chunks gives bitwise the
         # output of one call per sample, and so does the pool the backward
-        # rebuilds over those chunks.
-        x = np.random.default_rng(11).uniform(size=(5, 1) + grid)
+        # rebuilds over those chunks. The backward's rows of d_x are each
+        # sample's own, bitwise; its parameter gradients are the sum of the
+        # samples' gradients, up to the order of that sum.
+        rng = np.random.default_rng(11)
+        x = rng.uniform(size=(5, 1) + grid)
         assert len(reducer._chunks(x.shape)) > 1
         p = init_nsdru(8, seed=11)
         p.conv2_w[...] = np.abs(p.conv2_w)
         trace, pooled = reducer.nsdru_forward(x, p), pooled_of(x, p)
+        up = rng.normal(size=trace.act2.shape)
+        grads, d_x = reducer.nsdru_backward(trace, up, p)
+        summed = zeroed()
         for i in range(len(x)):
             alone = reducer.nsdru_forward(x[i:i + 1], p)
             assert trace.act2[i].tobytes() == alone.act2[0].tobytes()
             assert pooled[i].tobytes() == pooled_of(x[i:i + 1], p)[0].tobytes()
+            g, d_alone = reducer.nsdru_backward(alone, up[i:i + 1], p)
+            assert d_x[i].tobytes() == d_alone[0].tobytes()
+            for f in fields(g):
+                getattr(summed, f.name)[...] += getattr(g, f.name)
+        assert np.any(grads.conv1_w != 0.0)
+        for f in fields(grads):
+            np.testing.assert_allclose(getattr(grads, f.name), getattr(summed, f.name),
+                                       rtol=1e-12, err_msg=f.name)
 
     def test_pool_dominance_under_scaling(self):
         # With an identity first conv, the pooled grid is the window max;
@@ -420,3 +435,18 @@ class TestMemory:
         p = init_nsdru(8, seed=0)
         peak = traced_peak_mib(lambda: reducer.nsdru_forward(x, p))
         assert peak < 16.0, f"forward peak {peak:.1f} MiB"
+
+    def test_backward_peak_stays_small(self):
+        # The backward walks the forward's chunks too, so it holds one
+        # chunk's conv1 output, pool and their gradients at a time: on a
+        # 16-sample 128 x 256 batch with 8 channels the peak is about
+        # 14.5 MiB, where rebuilding conv1's map for the whole batch
+        # peaked at 93.3 MiB.
+        rng = np.random.default_rng(0)
+        x = rng.uniform(size=(16, 1, 128, 256))
+        p = init_nsdru(8, seed=0)
+        p.conv2_w[...] = np.abs(p.conv2_w)
+        trace = reducer.nsdru_forward(x, p)
+        up = rng.normal(size=trace.act2.shape)
+        peak = traced_peak_mib(lambda: reducer.nsdru_backward(trace, up, p))
+        assert peak < 32.0, f"backward peak {peak:.1f} MiB"
