@@ -94,10 +94,10 @@ def load_checkpoint(path: str) -> ModelParams:
     for name in ("ae.w1", "ae.w2", "ae.w3"):
         if len(found.get(name, ())) != 2:
             raise FormatError(f"{path}: segment {(name, found.get(name))} is not a matrix")
-    dims = AeDims(
-        d=size("ae.w1", 1), e1=size("ae.w1", 0), e2=size("ae.w2", 0), z=size("ae.w3", 0)
-    )
     try:
+        dims = AeDims(
+            d=size("ae.w1", 1), e1=size("ae.w1", 0), e2=size("ae.w2", 0), z=size("ae.w3", 0)
+        )
         want = param_shapes(
             dims, size("nsdru.conv1_w", 0), size("gru0.w_z", 1), size("gru0.w_z", 0), k
         )

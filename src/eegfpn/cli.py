@@ -43,7 +43,7 @@ def _write_text(path: str, text: str):
 
 
 def _load_config(path) -> RunConfig:
-    return parse_config(path) if path else RunConfig().validate()
+    return parse_config(path) if path else RunConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +106,14 @@ def _cmd_filter(args) -> int:
 def _cmd_train(args) -> int:
     config = _load_config(args.config)
     epochs = signals.load_dataset(args.data)
-    result = train_mod.train(config, epochs)
+    made = _missing_dirs(args.out)
     os.makedirs(args.out, exist_ok=True)
+    try:
+        result = train_mod.train(config, epochs)
+    except BaseException:
+        for path in made:
+            os.rmdir(path)
+        raise
     used = dataclasses.replace(config, ch=result.ch, t=result.t)
     _write_text(os.path.join(args.out, RUN_CONFIG_NAME), format_config(used))
     _write_text(os.path.join(args.out, RUN_HISTORY_NAME), result.history.csv())

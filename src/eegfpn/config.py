@@ -6,12 +6,12 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .autoencoder import OUTPUT_ACTIVATIONS
+from .autoencoder import OUTPUT_ACTIVATIONS, AeDims
 from .errors import ConfigError, ParseError
 from .signals import FilterSpec, require_regular_file
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     # Input grid used by cost/gradcheck; training reads it off the data.
     ch: int = 8
@@ -46,19 +46,16 @@ class RunConfig:
     def d(self) -> int:
         return self.ch * self.t
 
-    def validate(self):
+    def __post_init__(self):
         if self.ch < 2 or self.t < 4:
             raise ConfigError(f"need ch >= 2 and t >= 4, got ch={self.ch}, t={self.t}")
-        if not (self.e1 >= self.e2 >= self.z >= 1):
-            raise ConfigError(
-                f"widths must satisfy e1 >= e2 >= z >= 1, got {self.e1}/{self.e2}/{self.z}"
-            )
+        AeDims(self.d, self.e1, self.e2, self.z)  # checks the widths
         if self.ae_output_activation not in OUTPUT_ACTIVATIONS:
             raise ConfigError(
                 f"ae_output_activation must be one of {OUTPUT_ACTIVATIONS}, "
                 f"got {self.ae_output_activation!r}"
             )
-        FilterSpec(self.f_low, self.f_high, self.filter_order).validate()
+        FilterSpec(self.f_low, self.f_high, self.filter_order)  # checks the band
         if self.nsdru_hidden_channels < 1:
             raise ConfigError(f"nsdru_hidden_channels must be >= 1, got {self.nsdru_hidden_channels}")
         if self.k < 1 or self.h < 1:
@@ -83,7 +80,6 @@ class RunConfig:
             )
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        return self
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -118,7 +114,7 @@ def parse_config(path: str) -> RunConfig:
             if key not in _FIELDS:
                 raise ConfigError(f"unknown config key {key!r} (line {lineno})")
             overrides[key] = _parse_value(key, raw, lineno)
-    return RunConfig(**overrides).validate()
+    return RunConfig(**overrides)
 
 
 def format_config(config: RunConfig) -> str:

@@ -30,7 +30,6 @@ def gru_step_flops(f: int, h: int) -> int:
 
 def count_params(config: RunConfig) -> int:
     """Trainable parameter count, from the declared shapes."""
-    config.validate()
     shapes = config_shapes(config, config.ch, config.t)
     return sum(math.prod(shape) for _, shape in param_segments(shapes))
 
@@ -40,7 +39,6 @@ def count_flops(config: RunConfig) -> int:
     channel counts, GRU sizes and the branch count come off the declared
     shapes, and the conv grids are the (ch, t) input and the reducer's
     pooled grid, whose columns are the GRU's time steps."""
-    config.validate()
     shapes = config_shapes(config, config.ch, config.t)
     grid, pooled = (config.ch, config.t), pooled_grid(config.ch, config.t)
     total = sum(dense_flops(shape[1], shape[0]) for name, shape in param_segments(shapes)

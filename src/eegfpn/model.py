@@ -88,7 +88,6 @@ def init_params(shapes, seed: int):
 
 def init_model(config: RunConfig, ch: int, t: int, seed=None) -> ModelParams:
     """All randomness flows from one seed (the config's by default)."""
-    config.validate()
     return init_params(config_shapes(config, ch, t), config.seed if seed is None else seed)
 
 

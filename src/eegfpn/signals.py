@@ -62,7 +62,7 @@ class Epoch:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterSpec:
     """Butterworth bandpass description; order counts poles and is even."""
 
@@ -70,7 +70,7 @@ class FilterSpec:
     f_high: float = 30.0
     order: int = 4
 
-    def validate(self):
+    def __post_init__(self):
         if not (0.0 < self.f_low < self.f_high):
             raise ConfigError(
                 f"cutoffs must satisfy 0 < f_low < f_high, got ({self.f_low}, {self.f_high})"
@@ -97,7 +97,6 @@ def design_bandpass(spec: FilterSpec, sampling_rate: float) -> BiquadCascade:
     mapped through the bilinear transform, and normalized to unit gain
     at the (prewarped) center frequency.
     """
-    spec.validate()
     nyquist = sampling_rate / 2.0
     if spec.f_high >= nyquist:
         raise ConfigError(

@@ -183,7 +183,6 @@ def _dataset_loss_and_accuracy(rows, labels, ch, t, params, config):
 
 def train(config: RunConfig, epochs) -> TrainResult:
     """Full training run over a list of labeled epochs."""
-    config.validate()
     rows, labels, ch, t = preprocess(epochs, config)
     if np.unique(labels).size < 2:
         raise ConfigError("training needs both classes present in the dataset")

@@ -8,6 +8,7 @@ file (a few minutes of CPU).
 
 import itertools
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,7 +224,7 @@ def test_criterion_8_determinism(tmp_path):
         result = trainer.train(config, data)
         path = str(tmp_path / f"{name}.cfpn")
         save_checkpoint(result.params, path)
-        blobs.append(open(path, "rb").read())
+        blobs.append(Path(path).read_bytes())
         csvs.append(result.history.csv())
     ok = blobs[0] == blobs[1] and csvs[0] == csvs[1]
     _report(8, "determinism", ok,

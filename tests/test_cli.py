@@ -128,13 +128,16 @@ class TestFilter:
         names = [os.path.basename(path) for path in read_manifest(dataset)]
         assert (out / "manifest.txt").read_text().split() == names
 
-    def test_each_file_filtered_at_its_own_rate(self, tmp_path, capsys):
+    # Past OPERATOR_MAX_T samples the filter returns time-major arrays,
+    # which the epoch file must still hold channel-major.
+    @pytest.mark.parametrize("t", [256, 2001])
+    def test_each_file_filtered_at_its_own_rate(self, tmp_path, capsys, t):
         src = tmp_path / "mixed"
         src.mkdir()
         rng = np.random.default_rng(4)
         names = []
         for fs in (250.0, 1000.0):
-            epoch = signals.Epoch(samples=rng.normal(size=(2, 256)), sampling_rate=fs, label=0)
+            epoch = signals.Epoch(samples=rng.normal(size=(2, t)), sampling_rate=fs, label=0)
             names.append(f"fs{int(fs)}.eeg")
             signals.write_epoch_file(epoch, str(src / names[-1]))
         signals.write_manifest(str(src / "manifest.txt"), names)
@@ -144,9 +147,10 @@ class TestFilter:
             original = signals.read_epoch_file(str(src / name)).samples
             want = signals.apply_bandpass(
                 original, signals.design_bandpass(signals.FilterSpec(), fs)
-            ).astype("<f4")
+            )
+            assert want.flags.c_contiguous == (t <= signals.OPERATOR_MAX_T)
             got = signals.read_epoch_file(str(out / name)).samples
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, want.astype("<f4"))
 
     def test_band_above_nyquist_leaves_no_directory(self, tmp_path, capsys):
         src = tmp_path / "slow"
@@ -178,6 +182,34 @@ class TestTrainEval:
         history = (run / cli.RUN_HISTORY_NAME).read_text().splitlines()
         assert history[0] == "epoch,train_loss,val_loss,val_accuracy"
         assert len(history) == 3
+
+    def test_unusable_out_exits_2_before_training(
+        self, tmp_path, dataset, config_file, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(cli.train_mod, "train", lambda *args: calls.append(args))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = cli.main(["train", "--data", dataset, "--out", str(taken),
+                         "--config", config_file])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert calls == []
+
+    def test_failed_training_removes_the_directories_it_made(self, tmp_path, capsys):
+        src = tmp_path / "one-class"
+        src.mkdir()
+        rng = np.random.default_rng(5)
+        names = [f"e{i}.eeg" for i in range(4)]
+        for name in names:
+            epoch = signals.Epoch(samples=rng.normal(size=(2, 32)), sampling_rate=128.0, label=0)
+            signals.write_epoch_file(epoch, str(src / name))
+        signals.write_manifest(str(src / "manifest.txt"), names)
+        code = cli.main(["train", "--data", str(src / "manifest.txt"),
+                         "--out", str(tmp_path / "a" / "run")])
+        assert code == 2
+        assert "both classes" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
 
     def test_eval_roundtrip_stdout(self, tmp_path, dataset, config_file, capsys):
         run = tmp_path / "run"

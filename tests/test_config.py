@@ -1,9 +1,13 @@
 """Config file parsing, validation and round-tripping."""
 
+import dataclasses
+
 import pytest
 
+from eegfpn.autoencoder import AeDims
 from eegfpn.config import RunConfig, format_config, parse_config
 from eegfpn.errors import ConfigError, ParseError
+from eegfpn.signals import FilterSpec
 
 
 def write(tmp_path, text):
@@ -59,7 +63,6 @@ class TestRoundTrip:
 
     def test_format_covers_every_field(self):
         text = format_config(RunConfig())
-        import dataclasses
         for f in dataclasses.fields(RunConfig):
             assert f"{f.name} = " in text
 
@@ -98,6 +101,19 @@ class TestValidation:
     def test_rejected_settings(self, tmp_path, text):
         with pytest.raises(ConfigError):
             parse_config(write(tmp_path, text))
+
+    # A settings object is checked when it is built, however it is built,
+    # and cannot be changed afterwards.
+    @pytest.mark.parametrize("build, error", [
+        (lambda: RunConfig(k=0), ConfigError),
+        (lambda: dataclasses.replace(RunConfig(), e2=256), ConfigError),
+        (lambda: FilterSpec(30.0, 0.5), ConfigError),
+        (lambda: AeDims(d=10, e1=4, e2=6, z=3), ConfigError),
+        (lambda: setattr(RunConfig(), "k", 0), dataclasses.FrozenInstanceError),
+    ], ids=["run-config", "replace", "filter-spec", "ae-dims", "assignment"])
+    def test_settings_are_checked_when_built(self, build, error):
+        with pytest.raises(error):
+            build()
 
     def test_derived_input_width(self):
         assert RunConfig(ch=8, t=256).d == 2048

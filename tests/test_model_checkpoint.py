@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import os
 import struct
+from pathlib import Path
 from operator import attrgetter
 
 import numpy as np
@@ -290,7 +291,7 @@ class TestCheckpoint:
         back = checkpoint.load_checkpoint(first)
         assert back.csie.k == 3
         checkpoint.save_checkpoint(back, second)
-        assert open(first, "rb").read() == open(second, "rb").read()
+        assert Path(first).read_bytes() == Path(second).read_bytes()
 
     def test_save_leaves_neighbouring_tmp_file_alone(self, tmp_path):
         params = init_model(toy(), 4, 16, seed=4)
@@ -322,7 +323,7 @@ class TestCheckpoint:
         params = init_model(toy(), 4, 16, seed=0)
         path = str(tmp_path / "model.cfpn")
         checkpoint.save_checkpoint(params, path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[4] = 99
         (tmp_path / "v99.cfpn").write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="version"):
@@ -332,7 +333,7 @@ class TestCheckpoint:
         params = init_model(toy(), 4, 16, seed=0)
         path = str(tmp_path / "model.cfpn")
         checkpoint.save_checkpoint(params, path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         (tmp_path / "cut.cfpn").write_bytes(blob[: len(blob) // 2])
         with pytest.raises(FormatError) as err:
             checkpoint.load_checkpoint(str(tmp_path / "cut.cfpn"))
@@ -405,7 +406,7 @@ class TestCheckpoint:
         params = init_model(toy(), 4, 16, seed=0)
         path = str(tmp_path / "model.cfpn")
         checkpoint.save_checkpoint(params, path)
-        blob = open(path, "rb").read() + b"\x00" * 8
+        blob = Path(path).read_bytes() + b"\x00" * 8
         (tmp_path / "trail.cfpn").write_bytes(blob)
         with pytest.raises(FormatError, match=f"8 trailing bytes at offset {len(blob) - 8}"):
             checkpoint.load_checkpoint(str(tmp_path / "trail.cfpn"))
@@ -445,7 +446,7 @@ class TestCheckpoint:
     def test_pipe_rejected(self, tmp_path):
         path = str(tmp_path / "model.cfpn")
         checkpoint.save_checkpoint(init_model(toy(), 4, 16, seed=0), path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         assert len(blob) < 2**16  # fits the pipe's buffer, so no writer blocks
         read_end, write_end = os.pipe()
         try:

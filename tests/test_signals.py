@@ -3,6 +3,7 @@ independent SciPy implementation of the same Butterworth bandpass."""
 
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,7 +284,7 @@ class TestEpochFiles:
         )
         path = str(tmp_path / "h.eeg")
         signals.write_epoch_file(epoch, path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         assert len(blob) == 36 + 2 * 4 * 4
         assert blob[:4] == b"EEG1"
         assert int.from_bytes(blob[4:8], "little") == 1
@@ -302,7 +303,7 @@ class TestEpochFiles:
         eps = signals.generate_synthetic(1, 2, 16, 100.0, 5.0, seed=0)
         path = str(tmp_path / "t.eeg")
         signals.write_epoch_file(eps[0], path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         (tmp_path / "cut.eeg").write_bytes(blob[:40])
         with pytest.raises(FormatError, match="offset"):
             signals.read_epoch_file(str(tmp_path / "cut.eeg"))
@@ -311,7 +312,7 @@ class TestEpochFiles:
         eps = signals.generate_synthetic(1, 4, 16, 100.0, 5.0, seed=0)
         path = str(tmp_path / "t.eeg")
         signals.write_epoch_file(eps[0], path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         (tmp_path / "long.eeg").write_bytes(blob + b"\x00" * 64)
         with pytest.raises(FormatError, match=f"64 trailing bytes at offset {len(blob)}"):
             signals.read_epoch_file(str(tmp_path / "long.eeg"))
@@ -386,7 +387,7 @@ class TestEpochFiles:
     def test_write_manifest(self, tmp_path):
         man = str(tmp_path / "m.txt")
         signals.write_manifest(man, ["a.eeg", "b.eeg"])
-        assert open(man).read() == "a.eeg\nb.eeg\n"
+        assert Path(man).read_text() == "a.eeg\nb.eeg\n"
 
     def test_failed_write_removes_its_temp_file(self, tmp_path):
         (tmp_path / "m.txt").write_text("old\n")
