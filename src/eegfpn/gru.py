@@ -12,8 +12,11 @@ algebra, per step:
 
 so the new state is a convex combination of the previous state and the
 candidate, with the update gate weighting the candidate. The forward
-writes every branch's gates and states into one trace stacked on a
-leading k axis, (k, n, T, h), which the backward reads as it is. Backward,
+copies its input once to a C-contiguous (n, T, f) array and writes every
+branch's gates and states into one trace stacked on a leading k axis,
+(k, n, T, h), over time-major storage: each step's (n, f) input and
+(k, n, h) trace slice is then one contiguous block, not a gather across
+rows. The backward reads the trace as it is. Backward,
 each gate's pre-activation gradient d_a gives w += d_a^T x, u += d_a^T h_in
 and b += sum(d_a), with h_in = h_prev for z and r, r * h_prev for c; one
 reversed loop over time runs all k branches.
@@ -72,9 +75,11 @@ def csie_shapes(f: int, h: int, k: int) -> CsieParams:
 @dataclass
 class CsieTrace:
     """The k branches' per-step values, stacked on a leading branch axis:
-    inputs (n, T, f); update, reset, cand (k, n, T, h); hiddens
-    (k, n, T+1, h), step 0 the zero start; aggregate (n, h). Without a
-    trace the four per-step arrays are None."""
+    inputs (n, T, f), a C-contiguous copy; update, reset, cand (k, n, T, h);
+    hiddens (k, n, T+1, h), step 0 the zero start; aggregate (n, h). The
+    four per-step arrays are views of time-major (T, k, n, h) storage, so
+    [:, :, t] is one block, the unit both passes read or write per step.
+    Without a trace they are None."""
 
     inputs: np.ndarray
     update: np.ndarray
@@ -117,15 +122,15 @@ def csie_forward(sequence: np.ndarray, p: CsieParams, keep_trace: bool = True) -
     """Iterate gru_step over a (n, T, f) sequence from a zero state, branch
     by branch, and average the final states."""
     f, h = p.branches[0].input_size, p.branches[0].hidden_size
-    seq = np.asarray(sequence, dtype=np.float64)
+    seq = np.ascontiguousarray(sequence, dtype=np.float64)
     if seq.ndim != 3 or seq.shape[2] != f:
         raise ShapeError(f"sequence must be (n, T, {f}), got shape {seq.shape}")
     n, steps, _ = seq.shape
     if steps == 0:
         raise ShapeError("cannot run a branch over an empty sequence")
-    update, reset, cand = (np.empty((p.k, n, steps, h)) if keep_trace else None
-                           for _ in range(3))
-    hiddens = np.zeros((p.k, n, steps + 1, h)) if keep_trace else None
+    update, reset, cand = (np.empty((steps, p.k, n, h)).transpose(1, 2, 0, 3)
+                           if keep_trace else None for _ in range(3))
+    hiddens = np.zeros((steps + 1, p.k, n, h)).transpose(1, 2, 0, 3) if keep_trace else None
     final = np.empty((p.k, n, h))
     for i, branch in enumerate(p.branches):
         h_t = np.zeros((n, h))
@@ -157,7 +162,7 @@ def csie_backward(trace: CsieTrace, upstream: np.ndarray, p: CsieParams):
     z, r, c, hid = trace.update, trace.reset, trace.cand, trace.hiddens
     grads = [np.zeros_like(getattr(w, name)) for name in names]
     gates = [grads[i:i + 3] for i in range(0, len(grads), 3)]  # (w, u, b) of z, r, h
-    d_seq = np.zeros((p.k,) + seq.shape)
+    d_seq = np.zeros((steps, p.k, n, seq.shape[2])).transpose(1, 2, 0, 3)
     d_h = np.broadcast_to(share, (p.k, n, h))
     for t in range(steps - 1, -1, -1):
         x_t = seq[:, t]

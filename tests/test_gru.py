@@ -70,6 +70,29 @@ def solo_forward(seq, branch: gru.GruBranchParams) -> gru.CsieTrace:
     return gru.csie_forward(seq, gru.CsieParams(branches=[branch]))
 
 
+def strided_forward(view, p: gru.CsieParams):
+    """Reference forward into a branch-major trace: gru_step over the
+    (n, T, f) view as handed over, strides and all. Returns update, reset,
+    cand, hiddens and aggregate."""
+    k, (n, steps, _), h = p.k, view.shape, p.branches[0].hidden_size
+    update, reset, cand = (np.empty((k, n, steps, h)) for _ in range(3))
+    hiddens = np.zeros((k, n, steps + 1, h))
+    for i, branch in enumerate(p.branches):
+        h_t = np.zeros((n, h))
+        for t in range(steps):
+            update[i, :, t], reset[i, :, t], cand[i, :, t], h_t = gru.gru_step(
+                view[:, t], h_t, branch)
+            hiddens[i, :, t + 1] = h_t
+    return update, reset, cand, hiddens, gru.aggregate(hiddens[:, :, -1])
+
+
+def act2_view(n, steps, f, seed):
+    """What model_forward hands the ensemble: an (n, 1, f, T) map's first
+    channel with time and features swapped, a view with no unit stride."""
+    maps = np.random.default_rng(seed).normal(size=(n, 1, f, steps))
+    return maps[:, 0].transpose(0, 2, 1)
+
+
 def zero_branch(f=2, h=3) -> gru.GruBranchParams:
     p = init_branch(f, h, seed=0)
     for _, arr in param_segments(p):
@@ -210,6 +233,35 @@ class TestEnsemble:
             np.testing.assert_array_equal(trace.hiddens[i], solo.hiddens[0])
             np.testing.assert_array_equal(trace.update[i], solo.update[0])
         np.testing.assert_array_equal(trace.aggregate, gru.aggregate(trace.hiddens[:, :, -1]))
+
+    def test_every_step_is_one_block(self):
+        # The input is copied once into (n, T, f) order, and the trace keeps
+        # its (k, n, T, h) shape over time-major storage, so each step's
+        # (k, n, h) slice is one contiguous block.
+        n, steps, f, h, k = 5, 7, 3, 4, 3
+        view = act2_view(n, steps, f, seed=1)
+        assert not view[:, 0].flags.c_contiguous
+        trace = gru.csie_forward(view, init_csie(f, h, k, seed=1))
+        assert trace.inputs.flags.c_contiguous
+        for name, last in (("update", steps - 1), ("reset", steps - 1),
+                           ("cand", steps - 1), ("hiddens", steps)):
+            arr = getattr(trace, name)
+            assert arr.shape == (k, n, last + 1, h), name
+            for t in (0, last):
+                assert arr[:, :, t].flags.c_contiguous, (name, t)
+
+    @pytest.mark.parametrize("n, steps, f", [
+        (16, 128, 4),   # train
+        (1, 128, 4),    # stream
+        (64, 128, 64),  # batch_eval
+    ], ids=["train", "stream", "batch_eval"])
+    def test_contiguous_forward_matches_the_strided_loop_bitwise(self, n, steps, f):
+        params = init_csie(f, 32, 6, seed=steps + f)
+        view = act2_view(n, steps, f, seed=n)
+        trace = gru.csie_forward(view, params)
+        names = ("update", "reset", "cand", "hiddens", "aggregate")
+        for name, want in zip(names, strided_forward(view, params)):
+            np.testing.assert_array_equal(getattr(trace, name), want, err_msg=name)
 
     def test_zero_params_zero_aggregate(self):
         params = gru.CsieParams(branches=[zero_branch(), zero_branch()])
