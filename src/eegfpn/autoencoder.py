@@ -114,7 +114,7 @@ def ae_forward(x: np.ndarray, p: AeParams, output_activation: str = "relu") -> A
             if h.shape != skip.shape:
                 raise ShapeError(f"skip add needs {skip.shape}, decoder produced {h.shape}")
             h = h + skip
-    return AeTrace(x=x, inputs=inputs, gates=gates, recon=sigmoid(h))
+    return AeTrace(x=x, inputs=inputs, gates=gates, recon=sigmoid(h, out=h))
 
 
 def reconstruction_loss(recon: np.ndarray, target: np.ndarray) -> float:

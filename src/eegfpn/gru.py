@@ -98,8 +98,11 @@ def gru_step(x_t, h_prev, p: GruBranchParams):
             f"step needs (n, {p.input_size}) input and (n, {p.hidden_size}) "
             f"state, got {x_t.shape} and {h_prev.shape}"
         )
-    update = sigmoid(x_t @ p.w_z.T + h_prev @ p.u_z.T + p.b_z)
-    reset = sigmoid(x_t @ p.w_r.T + h_prev @ p.u_r.T + p.b_r)
+    pre = np.empty((2, n, p.hidden_size))  # z's and r's pre-activations
+    for a, (w, u, b) in zip(pre, ((p.w_z, p.u_z, p.b_z), (p.w_r, p.u_r, p.b_r))):
+        np.add(x_t @ w.T, h_prev @ u.T, out=a)
+        a += b
+    update, reset = sigmoid(pre, out=pre)
     cand = np.tanh(x_t @ p.w_h.T + (reset * h_prev) @ p.u_h.T + p.b_h)
     h_new = (1.0 - update) * h_prev + update * cand
     return update, reset, cand, h_new

@@ -1,7 +1,8 @@
 """Activations and softmax shared by the layers.
 
 All operate on float64 numpy arrays and are pure functions of their
-inputs, so they are safe to call concurrently on disjoint data.
+inputs, so they are safe to call concurrently on disjoint data; sigmoid
+may write its result into `out`, which may be its input.
 """
 
 import numpy as np
@@ -14,15 +15,18 @@ def relu_grad(activated, upstream) -> np.ndarray:
     return upstream * (activated > 0.0)
 
 
-def sigmoid(x) -> np.ndarray:
-    """Logistic function without overflow for any finite input: 1/(1+z) where
-    x >= 0, z/(1+z) elsewhere, z = exp(-|x|), in two buffers of x's size."""
+def sigmoid(x, out=None) -> np.ndarray:
+    """Logistic function without overflow for any finite input, as
+    exp(min(x, 0)) / (1 + exp(-|x|)): bitwise 1/(1+z) where x >= 0 and
+    z/(1+z) elsewhere, z = exp(-|x|). One scratch array, the denominator;
+    the result goes to `out` (x's shape, float64), which may be x itself."""
     x = np.asarray(x, dtype=np.float64)
-    z, d = np.empty_like(x), np.empty_like(x)
-    np.exp(np.negative(np.abs(x, out=z), out=z), out=z)
-    np.divide(z, np.add(z, 1.0, out=d), out=z)
-    np.copyto(z, np.divide(1.0, d, out=d), where=x >= 0.0)
-    return z
+    d = np.empty_like(x)
+    np.add(np.exp(np.negative(np.abs(x, out=d), out=d), out=d), 1.0, out=d)
+    if out is None:
+        out = np.empty_like(x)
+    np.exp(np.minimum(x, 0.0, out=out), out=out)
+    return np.divide(out, d, out=out)
 
 
 def softmax(logits, axis: int = -1) -> np.ndarray:

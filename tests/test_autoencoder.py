@@ -11,6 +11,7 @@ from eegfpn import gradcheck
 from eegfpn.errors import ConfigError, ShapeError
 from eegfpn.model import init_params, n_params
 from eegfpn.ops import relu_grad, sigmoid
+from traced_memory import traced_peak_mib
 
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4", "w5", "b5", "w6", "b6")
@@ -225,6 +226,15 @@ class TestForward:
         p = init_ae(ae.AeDims(d=6, e1=5, e2=4, z=2), seed=0)
         with pytest.raises(ConfigError):
             ae.ae_forward(np.zeros((1, 6)), p, "tanh")
+
+    def test_forward_peak_at_a_wide_layer(self):
+        # Above its inputs, the forward holds layer 6's output and its ReLU
+        # mask, and the sigmoid, written over that output, one denominator:
+        # about 2.125 reconstructions.
+        p = init_ae(ae.AeDims(d=32768, e1=128, e2=64, z=32), seed=0)
+        x = np.random.default_rng(0).uniform(size=(16, 32768))
+        peak = traced_peak_mib(lambda: ae.ae_forward(x, p))
+        assert peak < 2.5 * x.nbytes / 2**20, f"forward peak {peak:.1f} MiB"
 
     def test_forward_is_deterministic(self):
         p = init_ae(ae.AeDims(d=12, e1=8, e2=6, z=3), seed=2)

@@ -143,6 +143,29 @@ class TestStep:
             assert np.all((cand > -1.0) & (cand < 1.0))
             assert np.all((h >= -1.0) & (h <= 1.0))
 
+    @pytest.mark.parametrize("n, f", [(16, 4), (1, 4), (64, 64)],
+                             ids=["train", "stream", "batch_eval"])
+    def test_stacked_gates_match_the_two_call_form_bitwise(self, n, f):
+        # Reference: z and r through separate calls of the two-branch sigmoid.
+        def sigmoid(v):
+            z = np.exp(-np.abs(v))
+            return np.where(v >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+        h = 32
+        rng = np.random.default_rng(n + f)
+        p = init_branch(f, h, seed=n + f)
+        p.b_z[...], p.b_r[...] = rng.normal(size=(2, h))
+        x = rng.normal(scale=2.0, size=(n, f))
+        h_prev = rng.uniform(-1.0, 1.0, size=(n, h))
+        update = sigmoid(x @ p.w_z.T + h_prev @ p.u_z.T + p.b_z)
+        reset = sigmoid(x @ p.w_r.T + h_prev @ p.u_r.T + p.b_r)
+        cand = np.tanh(x @ p.w_h.T + (reset * h_prev) @ p.u_h.T + p.b_h)
+        h_new = (1.0 - update) * h_prev + update * cand
+        got = gru.gru_step(x, h_prev, p)
+        for name, g, want in zip(("update", "reset", "cand", "h_new"), got,
+                                 (update, reset, cand, h_new)):
+            np.testing.assert_array_equal(g, want, err_msg=name)
+
 
 class TestBranch:
     def test_geometric_decay_closed_form(self):

@@ -8,6 +8,12 @@ from traced_memory import traced_peak_mib
 from eegfpn import ops
 
 
+def two_branch_sigmoid(x):
+    """1/(1+z) where x >= 0, z/(1+z) elsewhere, z = exp(-|x|)."""
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
 class TestActivations:
     def test_relu_grad_zero_at_kink(self):
         # Subgradient convention: derivative 0 where the activation is 0.
@@ -34,16 +40,40 @@ class TestActivations:
         tiny = np.finfo(np.float64).smallest_subnormal
         edges = [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, tiny, -tiny, 1e-310, -1e-310]
         x = np.concatenate([edges, np.random.default_rng(5).normal(scale=30.0, size=10**5)])
-        z = np.exp(-np.abs(x))
-        want = np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+        want = two_branch_sigmoid(x)
         assert ops.sigmoid(x).tobytes() == want.tobytes()
         assert ops.sigmoid(np.float64(-0.0)) == 0.5
+        # In place: out= is x itself.
+        y = x.copy()
+        assert ops.sigmoid(y, out=y) is y
+        assert y.tobytes() == want.tobytes()
+        # A non-contiguous view, read into a fresh array and then in place;
+        # the other column is not touched.
+        pairs = np.stack([x, np.full_like(x, 7.0)], axis=1)
+        view = pairs[:, 0]
+        assert not view.flags.c_contiguous
+        assert ops.sigmoid(view).tobytes() == want.tobytes()
+        assert ops.sigmoid(view, out=view) is view
+        assert view.tobytes() == want.tobytes()
+        assert np.all(pairs[:, 1] == 7.0)
+        # 0-d arrays, fresh and in place.
+        for v in (-0.0, 0.0, -3.0, 3.0, -800.0, 800.0):
+            a = np.array(v)
+            assert ops.sigmoid(a).tobytes() == two_branch_sigmoid(a).tobytes()
+            assert ops.sigmoid(a, out=a) is a
+            assert a.shape == () and a.tobytes() == two_branch_sigmoid(np.array(v)).tobytes()
 
     def test_sigmoid_peak_two_buffers(self):
-        # The output and the shared denominator, plus x >= 0's mask.
+        # The output and the shared denominator; no mask, no masked copy.
         x = np.random.default_rng(6).normal(scale=30.0, size=(64, 32768))
         peak = traced_peak_mib(lambda: ops.sigmoid(x))
         assert peak < 2.25 * x.nbytes / 2**20, f"sigmoid peak {peak:.1f} MiB"
+
+    def test_sigmoid_in_place_peak_one_buffer(self):
+        # Written over x, only the denominator is allocated.
+        x = np.random.default_rng(7).normal(scale=30.0, size=(64, 32768))
+        peak = traced_peak_mib(lambda: ops.sigmoid(x, out=x))
+        assert peak < 1.25 * x.nbytes / 2**20, f"in-place sigmoid peak {peak:.1f} MiB"
 
     def test_activation_grads_match_finite_differences(self):
         rng = np.random.default_rng(3)
