@@ -79,28 +79,20 @@ def load_checkpoint(path: str) -> ModelParams:
     got = [(name, arr.shape) for name, arr in segments]
     found = dict(got)
 
-    def size(name, axis):
-        # None where the segment is missing or of too low a rank; the
-        # comparison below then names that segment.
-        shape = found.get(name, ())
-        return shape[axis] if axis < len(shape) else None
-
     # k as the file claims it; the comparison rejects any other layout.
     k = sum(name.endswith(".w_z") for name, _ in got)
     if k < 1:
         raise FormatError(f"{path}: no GRU branch segments")
-    # The autoencoder widths are checked as they are read, so they must
-    # come from matrices.
-    for name in ("ae.w1", "ae.w2", "ae.w3"):
-        if len(found.get(name, ())) != 2:
-            raise FormatError(f"{path}: segment {(name, found.get(name))} is not a matrix")
+    # The sizes are checked as they are read, so they must come from
+    # segments of the rank their layers declare.
+    ranks = {"ae.w1": 2, "ae.w2": 2, "ae.w3": 2, "nsdru.conv1_w": 4, "gru0.w_z": 2}
+    for name, rank in ranks.items():
+        if len(found.get(name, ())) != rank:
+            raise FormatError(f"{path}: segment {(name, found.get(name))} is not of rank {rank}")
+    (e1, d), (e2, _), (z, _) = found["ae.w1"], found["ae.w2"], found["ae.w3"]
+    (h, f), c = found["gru0.w_z"], found["nsdru.conv1_w"][0]
     try:
-        dims = AeDims(
-            d=size("ae.w1", 1), e1=size("ae.w1", 0), e2=size("ae.w2", 0), z=size("ae.w3", 0)
-        )
-        want = param_shapes(
-            dims, size("nsdru.conv1_w", 0), size("gru0.w_z", 1), size("gru0.w_z", 0), k
-        )
+        want = param_shapes(AeDims(d=d, e1=e1, e2=e2, z=z), c, f, h, k)
     except ConfigError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     for index, (have, expected) in enumerate(zip_longest(got, param_segments(want))):

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 from .autoencoder import OUTPUT_ACTIVATIONS, AeDims
 from .errors import ConfigError, ParseError
+from .gru import csie_shapes
+from .reducer import nsdru_shapes, pooled_grid
 from .signals import FilterSpec, require_regular_file
 
 
@@ -56,10 +58,8 @@ class RunConfig:
                 f"got {self.ae_output_activation!r}"
             )
         FilterSpec(self.f_low, self.f_high, self.filter_order)  # checks the band
-        if self.nsdru_hidden_channels < 1:
-            raise ConfigError(f"nsdru_hidden_channels must be >= 1, got {self.nsdru_hidden_channels}")
-        if self.k < 1 or self.h < 1:
-            raise ConfigError(f"need k >= 1 and h >= 1, got k={self.k}, h={self.h}")
+        nsdru_shapes(self.nsdru_hidden_channels)  # checks the channels
+        csie_shapes(pooled_grid(self.ch, self.t)[0], self.h, self.k)  # checks k and h
         if not 0 <= self.lambda_recon < math.inf:
             raise ConfigError(f"lambda_recon must be finite and >= 0, got {self.lambda_recon}")
         if not 0 < self.learning_rate < math.inf:

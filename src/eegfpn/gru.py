@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .ops import sigmoid
 
 
@@ -69,6 +69,9 @@ class CsieParams:
 
 
 def csie_shapes(f: int, h: int, k: int) -> CsieParams:
+    """k >= 1 branches of f >= 1 inputs and h >= 1 hidden units."""
+    if min(k, f, h) < 1:
+        raise ConfigError(f"need k, f and h >= 1, got k={k}, f={f}, h={h}")
     return CsieParams(branches=[branch_shapes(f, h) for _ in range(k)])
 
 

@@ -7,11 +7,11 @@ The kernels here serve that one geometry. Convolution is cross-correlation
 grid is kept; the pool's 2x2 windows tile the grid from its top-left cell,
 and an odd trailing row or column belongs to no window.
 
-Both passes walk the batch in chunks of whole samples and hold one
-chunk's conv1 output and pool at a time, channel-first: conv1 is one
-GEMM of the kernels against every cell's nine taps, and conv2 one GEMM
-of its taps against the pooled channels followed by nine shifted adds.
-The backward recomputes both maps over the forward's chunks.
+Both passes walk the batch in chunks of whole samples, channel-first.
+conv1 runs only at the four cells of every pool window, one GEMM of the
+kernels against their nine taps, and the pool is taken from its sums;
+conv2 is one GEMM of its taps against the pooled channels followed by
+nine shifted adds. The backward recomputes the cells and the pool.
 """
 
 from dataclasses import dataclass, fields
@@ -19,7 +19,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .ops import relu_grad
 
 
@@ -34,7 +34,9 @@ class NsdruParams:
 
 
 def nsdru_shapes(c: int) -> NsdruParams:
-    """One input map to c hidden channels, and back to one map."""
+    """One input map to c >= 1 hidden channels, and back to one map."""
+    if c < 1:
+        raise ConfigError(f"nsdru_hidden_channels must be >= 1, got {c}")
     return NsdruParams(conv1_w=(c, 1, 3, 3), conv1_b=(c,), conv2_w=(1, c, 3, 3), conv2_b=(1,))
 
 
@@ -78,26 +80,16 @@ def _conv3x3_backward(upstream, x, kernels):
     return d_xp[:, :, 1:1 + h, 1:1 + w], d_k, d_b
 
 
-def _pool_cells(x):
-    """The four cells of every pool window, row-major, as strided views
-    of `x`."""
-    h2, w2 = pooled_grid(*x.shape[2:])
-    return [x[:, :, i:2 * h2:2, j:2 * w2:2] for i in (0, 1) for j in (0, 1)]
-
-
-def _maxpool(x, out=None):
-    a, b, c, d = _pool_cells(x)
-    return np.maximum(np.maximum(a, b), np.maximum(c, d), out=out)
-
-
-def _maxpool_backward(upstream, x, pooled):
-    """Route each pooled gradient to the first cell of its window, in
-    row-major order, that holds the window's max (np.argmax's tie-break)."""
-    d_x = np.zeros(x.shape)
+def _maxpool_backward(upstream, cells, pooled, shape):
+    """A zero map of `shape` (m, c, h, w) holding each pooled gradient at
+    the first of its window's four `cells`, row-major, that equals the
+    window's max (np.argmax's tie-break)."""
+    d_x = np.zeros(shape)
+    h2, w2 = pooled.shape[2:]
     unplaced = np.ones(upstream.shape, dtype=bool)
-    for cell, d_cell in zip(_pool_cells(x), _pool_cells(d_x)):
+    for cell, (i, j) in zip(cells, np.ndindex(2, 2)):
         hit = cell == pooled
-        np.copyto(d_cell, upstream, where=unplaced & hit)
+        np.copyto(d_x[:, :, i:2 * h2:2, j:2 * w2:2], upstream, where=unplaced & hit)
         unplaced &= ~hit
     return d_x
 
@@ -115,28 +107,35 @@ def _chunks(shape):
     return [np.s_[i:i + step] for i in range(0, n, step)]
 
 
-def _conv1_relu(x, p: NsdruParams):
-    """ReLU(conv1) of (m, 1, h, w) maps, channel-first as (c, m, h, w).
-
-    One GEMM: the (c, 9) kernels times the (9, m*h*w) matrix of every
-    cell's nine padded-input taps, row-major. The bias is added to the
-    GEMM's sums afterwards."""
+def _conv1_pool(x, p: NsdruParams, out=None):
+    """conv1 of (m, 1, h, w) maps at the four cells of every pool window,
+    and its pool, channel-first: (cells, pooled). `cells` (4, c, m, h//2,
+    w//2), row-major in each window, are conv1's sums plus bias from one
+    GEMM as wide as conv1 over the grid (OpenBLAS may sum a narrower one
+    in another order). `pooled`, written to `out` if given, is ReLU of
+    their max: bitwise the max of their ReLUs, as rounding keeps order."""
     m, _, h, w = x.shape
+    h2, w2 = pooled_grid(h, w)
     xp = _pad(x)[:, 0]
-    taps = np.empty((9, m, h, w))
+    taps = np.empty((9, 2, 2, m, h2, w2))
     for tap, (i, j) in enumerate(np.ndindex(3, 3)):
-        taps[tap] = xp[:, i:i + h, j:j + w]
-    act1 = p.conv1_w.reshape(-1, 9) @ taps.reshape(9, -1)
-    act1 += p.conv1_b[:, None]
-    np.maximum(act1, 0.0, out=act1)
-    return act1.reshape(-1, m, h, w)
+        # This tap of every window cell, split by the cell's place in its window.
+        windows = xp[:, i:i + 2 * h2, j:j + 2 * w2].reshape(m, h2, 2, w2, 2)
+        taps[tap] = windows.transpose(2, 4, 0, 1, 3)
+    cells = p.conv1_w.reshape(-1, 9) @ taps.reshape(9, -1)
+    cells += p.conv1_b[:, None]
+    cells = cells.reshape(-1, 4, m, h2, w2).swapaxes(0, 1)
+    pooled = np.maximum(cells[0], cells[1], out=out)
+    for cell in cells[2:]:
+        np.maximum(pooled, cell, out=pooled)
+    return cells, np.maximum(pooled, 0.0, out=pooled)
 
 
 def nsdru_forward(x: np.ndarray, p: NsdruParams) -> NsdruTrace:
     """Compress (n, 1, ch, t) maps to (n, 1, ch//2, t//2).
 
-    Per chunk: conv1 and its ReLU (`_conv1_relu`), pooled into a map with
-    a zero border. conv2's GEMM, its (9, c) taps times that (c, cells)
+    Per chunk: conv1's pool (`_conv1_pool`), written into a map with a
+    zero border. conv2's GEMM, its (9, c) taps times that (c, cells)
     map, gives each tap's sum over channels at every cell; act2 starts as
     the bias and adds the shifted tap sums in row-major tap order. Both
     ReLUs run in place."""
@@ -157,8 +156,7 @@ def nsdru_forward(x: np.ndarray, p: NsdruParams) -> NsdruTrace:
     act2 = np.empty((n, 1, h2, w2))
     for s in _chunks(x.shape):
         pp = np.zeros((c, len(x[s]), h2 + 2, w2 + 2))
-        inner = pp[:, :, 1:1 + h2, 1:1 + w2]
-        _maxpool(_conv1_relu(x[s], p), out=inner)
+        _conv1_pool(x[s], p, out=pp[:, :, 1:1 + h2, 1:1 + w2])
         tap_sums = (k2 @ pp.reshape(c, -1)).reshape((9,) + pp.shape[1:])
         out = act2[s, 0]
         out[...] = p.conv2_b[0]
@@ -170,9 +168,9 @@ def nsdru_forward(x: np.ndarray, p: NsdruParams) -> NsdruTrace:
 
 def nsdru_backward(trace: NsdruTrace, upstream: np.ndarray, p: NsdruParams):
     """Exact reverse pass; each pool window's gradient lands on its first max.
-    Per forward chunk it recomputes conv1's output and pool (bitwise the
-    forward's) and writes that chunk's rows of d_x; the parameter gradients
-    are summed over chunks. Returns (NsdruParams of gradients, d_x)."""
+    Per forward chunk it recomputes `_conv1_pool` (bitwise the forward's)
+    and writes that chunk's rows of d_x; the parameter gradients are summed
+    over chunks. Returns (NsdruParams of gradients, d_x)."""
     if np.shape(upstream) != trace.act2.shape:
         raise ShapeError(
             f"upstream has shape {np.shape(upstream)}, the reducer output {trace.act2.shape}"
@@ -182,13 +180,13 @@ def nsdru_backward(trace: NsdruTrace, upstream: np.ndarray, p: NsdruParams):
     d_x = np.empty(x.shape)
     parts = []
     for s in _chunks(x.shape):
-        act1 = _conv1_relu(x[s], p).transpose(1, 0, 2, 3)
-        pooled = _maxpool(act1)
+        cells, pooled = _conv1_pool(x[s], p)
+        # Routing compares the cells after conv1's ReLU with the pool; the
+        # cell it picks equals the pool, so conv1's ReLU gate there is the pool's.
+        cells, pooled = np.maximum(cells, 0.0, out=cells).swapaxes(1, 2), pooled.swapaxes(0, 1)
         d_pooled, d_conv2_w, d_conv2_b = _conv3x3_backward(d_act2[s], pooled, p.conv2_w)
-        # The pool routes each window's gradient to a cell equal to the
-        # window's max, so conv1's ReLU gate there is the pooled map's.
         d_pooled = relu_grad(pooled, d_pooled)
-        d_act1 = _maxpool_backward(d_pooled, act1, pooled)
+        d_act1 = _maxpool_backward(d_pooled, cells, pooled, pooled.shape[:2] + x.shape[2:])
         d_x[s], d_conv1_w, d_conv1_b = _conv3x3_backward(d_act1, x[s], p.conv1_w)
         parts.append((d_conv1_w, d_conv1_b, d_conv2_w, d_conv2_b))
     # reduce returns one chunk's gradients as they are; np.sum's zero start flips -0.0.

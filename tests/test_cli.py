@@ -2,6 +2,8 @@
 output land exactly as a shell user would see them."""
 
 import os
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -255,6 +257,34 @@ class TestTrainEval:
         captured = capsys.readouterr()
         assert code == 2
         assert "head.w" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("width", ["gru-hidden-units", "reducer-channels"])
+    def test_eval_of_zero_width_checkpoint_exits_2(
+        self, tmp_path, dataset, config_file, width, capsys
+    ):
+        # The settings forbid both sizes, so a checkpoint holding them is
+        # rejected naming the file: not read as a model that prints chance
+        # accuracy, nor left to numpy's reshape error.
+        params = model.init_model(parse_config(config_file), 4, 32, seed=0)
+        if width == "gru-hidden-units":
+            for branch in params.csie.branches:
+                for f in fields(branch):
+                    arr = getattr(branch, f.name)
+                    setattr(branch, f.name, arr[:0, :0] if f.name[0] == "u" else arr[:0])
+            params.head.w = params.head.w[:, :0]
+        else:
+            nsdru = params.nsdru
+            nsdru.conv1_w, nsdru.conv1_b = nsdru.conv1_w[:0], nsdru.conv1_b[:0]
+            nsdru.conv2_w = nsdru.conv2_w[:, :0]
+        ckpt = str(tmp_path / f"{width}.cfpn")
+        checkpoint.save_checkpoint(params, ckpt)
+        with pytest.raises(FormatError, match=re.escape(ckpt)):
+            checkpoint.load_checkpoint(ckpt)
+        code = cli.main(["eval", "--ckpt", ckpt, "--data", dataset, "--config", config_file])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert ckpt in captured.err
         assert captured.out == ""
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")

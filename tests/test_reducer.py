@@ -1,12 +1,14 @@
 """Conv/pool compressor: its convolutions and 2x2 pool against explicit
 loops and finite differences, the forward's bytes against its GEMMs'
-summation order, batch invariance across chunks, the halving rule, pooling
-dominance, gradients and the memory of both passes."""
+summation order, both passes' bytes against conv1 at full resolution,
+batch invariance across chunks, the halving rule, pooling dominance,
+gradients and the memory of both passes."""
 
 import math
 import re
 from dataclasses import fields
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -40,6 +42,28 @@ def delta_passthrough():
     p.conv1_w[:, 0, 1, 1] = 1.0
     p.conv2_w[0, :, 1, 1] = 0.5
     return p
+
+
+def identity():
+    """conv1 = identity (center tap), so its pool is the pool of the input."""
+    p = zeroed(hidden=1)
+    p.conv1_w[0, 0, 1, 1] = 1.0
+    return p
+
+
+def window_cells(a):
+    """The four cells of every 2x2 pool window of (n, c, h, w) `a`,
+    row-major, as strided views."""
+    h2, w2 = a.shape[2] // 2, a.shape[3] // 2
+    return [a[:, :, i:2 * h2:2, j:2 * w2:2] for i in (0, 1) for j in (0, 1)]
+
+
+def pool(x):
+    """The pool of (m, 1, h, w) maps through an identity conv1, laid out
+    as the backward routes it: the (4, m, 1, h//2, w//2) window cells after
+    conv1's ReLU and the (m, 1, h//2, w//2) pooled map."""
+    cells, pooled = reducer._conv1_pool(x, identity())
+    return relu(cells).swapaxes(1, 2), pooled.swapaxes(0, 1)
 
 
 def conv3x3_loop(x, k, b):
@@ -77,8 +101,8 @@ def blas_sums_in_order() -> bool:
 
 def pooled_of(x, p):
     """The (n, c, ch//2, t//2) pool of conv1's output, as the backward
-    rebuilds it: the private kernels over the forward's chunks."""
-    return np.concatenate([reducer._maxpool(reducer._conv1_relu(x[s], p))
+    rebuilds it: `_conv1_pool` over the forward's chunks."""
+    return np.concatenate([reducer._conv1_pool(x[s], p)[1]
                            for s in reducer._chunks(x.shape)], axis=1).transpose(1, 0, 2, 3)
 
 
@@ -113,6 +137,47 @@ def forward_in_gemm_order(x, p):
     return pooled, np.maximum(act2, 0.0)
 
 
+def full_resolution_passes(x, p, up):
+    """(act2, d_x, [d_conv1_w, d_conv1_b, d_conv2_w, d_conv2_b]) by the
+    full-resolution rule, over the forward's chunks: conv1 as one GEMM over
+    every cell, then its bias and ReLU; the pool as the np.maximum of four
+    strided views of that map; conv2 as one GEMM and nine shifted adds; and
+    back, each window's gradient routed by masks to its first max."""
+    n, _, h, w = x.shape
+    c, (h2, w2) = len(p.conv1_w), reducer.pooled_grid(h, w)
+    chunks, maps = reducer._chunks(x.shape), []
+    act2 = np.empty((n, 1, h2, w2))
+    for s in chunks:
+        xp = np.pad(x[s, 0], ((0, 0), (1, 1), (1, 1)))
+        taps = np.stack([xp[:, i:i + h, j:j + w] for i, j in np.ndindex(3, 3)])
+        act1 = relu(p.conv1_w.reshape(c, 9) @ taps.reshape(9, -1) + p.conv1_b[:, None])
+        act1 = act1.reshape(c, -1, h, w).transpose(1, 0, 2, 3)
+        a, b, cc, d = window_cells(act1)
+        pooled = np.maximum(np.maximum(a, b), np.maximum(cc, d))
+        maps.append((act1, pooled))
+        pp = np.pad(pooled.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (1, 1), (1, 1)))
+        tap_sums = (p.conv2_w[0].reshape(c, 9).T @ pp.reshape(c, -1)).reshape((9,) + pp.shape[1:])
+        out = act2[s, 0]
+        out[...] = p.conv2_b[0]
+        for tap, (i, j) in enumerate(np.ndindex(3, 3)):
+            out += tap_sums[tap, :, i:i + h2, j:j + w2]
+    act2 = relu(act2)
+    d_act2 = up * (act2 > 0.0)
+    d_x, parts = np.empty(x.shape), []
+    for s, (act1, pooled) in zip(chunks, maps):
+        d_pooled, d_conv2_w, d_conv2_b = reducer._conv3x3_backward(d_act2[s], pooled, p.conv2_w)
+        d_pooled = d_pooled * (pooled > 0.0)
+        d_act1 = np.zeros(act1.shape)
+        unplaced = np.ones(pooled.shape, dtype=bool)
+        for cell, d_cell in zip(window_cells(act1), window_cells(d_act1)):
+            hit = cell == pooled
+            np.copyto(d_cell, d_pooled, where=unplaced & hit)
+            unplaced &= ~hit
+        d_x[s], d_conv1_w, d_conv1_b = reducer._conv3x3_backward(d_act1, x[s], p.conv1_w)
+        parts.append((d_conv1_w, d_conv1_b, d_conv2_w, d_conv2_b))
+    return act2, d_x, [reduce(np.add, g) for g in zip(*parts)]
+
+
 class TestForward:
     def test_halving_large(self):
         out = reducer.nsdru_forward(np.zeros((1, 1, 128, 400)), zeroed()).act2
@@ -136,14 +201,15 @@ class TestForward:
         np.testing.assert_array_equal(reducer.nsdru_forward(x, zeroed()).act2, 0.0)
 
     def test_relu_outputs_nonnegative(self):
-        # Both ReLUs bite (some outputs are exactly zero), and the pool of
-        # the first ReLU's output is nonnegative too.
+        # Both ReLUs bite (conv1 has sums <= 0 at window cells, and some
+        # outputs are exactly zero), and the pool of the first ReLU's
+        # output is nonnegative too.
         p = init_nsdru(4, seed=3)
         trace = reducer.nsdru_forward(np.random.default_rng(3).normal(size=(2, 1, 8, 10)), p)
-        act1 = reducer._conv1_relu(trace.x, p)
-        for arr in (act1, pooled_of(trace.x, p), trace.act2):
+        cells, pooled = reducer._conv1_pool(trace.x, p)
+        for arr in (pooled, pooled_of(trace.x, p), trace.act2):
             assert np.all(arr >= 0.0)
-        assert np.any(act1 == 0.0) and np.any(trace.act2 == 0.0)
+        assert np.any(cells <= 0.0) and np.any(trace.act2 == 0.0)
 
     @pytest.mark.parametrize("grid", [(64, 256), (128, 300)], ids=["two-per-chunk", "one-per-chunk"])
     def test_batch_invariant_across_chunks(self, grid):
@@ -256,14 +322,15 @@ class TestBackward:
         x[:, :, 8:24] = 0.0
         p = init_nsdru(8, seed=13)
         p.conv1_b[...] = -0.05
-        assert len(reducer._chunks(x.shape)) == 3
-        act1 = np.concatenate([reducer._conv1_relu(x[s], p) for s in reducer._chunks(x.shape)],
-                              axis=1).transpose(1, 0, 2, 3)
-        pooled = reducer._maxpool(act1)
+        chunks = reducer._chunks(x.shape)
+        assert len(chunks) == 3
+        cells, pooled = (np.concatenate(parts, axis=-3) for parts in
+                         zip(*(reducer._conv1_pool(x[s], p) for s in chunks)))
+        cells, pooled = relu(cells).swapaxes(1, 2), pooled.swapaxes(0, 1)
         assert np.any(pooled == 0.0)
         up = np.random.default_rng(14).uniform(1.0, 2.0, size=pooled.shape)
-        routed = reducer._maxpool_backward(up, act1, pooled)
-        hits = sum(cell != 0.0 for cell in reducer._pool_cells(routed))
+        routed = reducer._maxpool_backward(up, cells, pooled, (5, 8, 64, 256))
+        hits = sum(cell != 0.0 for cell in window_cells(routed))
         np.testing.assert_array_equal(hits, 1)
         assert math.fsum(routed.ravel()) == math.fsum(up.ravel())
 
@@ -277,28 +344,38 @@ class TestConv3x3:
     def test_all_ones_kernel_counts_neighbourhood(self):
         p = zeroed(hidden=1)
         p.conv1_w[...] = 1.0
-        out = reducer._conv1_relu(np.ones((1, 1, 4, 4)), p)
+        cells, pooled = reducer._conv1_pool(np.ones((1, 1, 4, 4)), p)
         # Zero padding: interior cells see 9 ones, edges 6, corners 4.
         want = np.array([[4.0, 6.0, 6.0, 4.0],
                          [6.0, 9.0, 9.0, 6.0],
                          [6.0, 9.0, 9.0, 6.0],
                          [4.0, 6.0, 6.0, 4.0]])
-        np.testing.assert_array_equal(out, want[None, None])
+        for cell, want_cell in zip(cells, window_cells(want[None, None])):
+            np.testing.assert_array_equal(cell, want_cell)
+        np.testing.assert_array_equal(pooled, np.full((1, 1, 2, 2), 9.0))
 
     def test_zero_kernel_returns_bias_map(self):
-        # conv1's output is channel-first and ReLU'd: a negative bias
-        # leaves a zero map.
+        # conv1's cells are channel-first and hold the bias; the pool is
+        # ReLU'd, so a negative bias leaves a zero map.
         p = zeroed(hidden=3)
         p.conv1_b[...] = [1.0, -2.0, 0.5]
-        out = reducer._conv1_relu(np.arange(16.0).reshape(1, 1, 4, 4), p)
-        assert out.shape == (3, 1, 4, 4)
-        for c, v in enumerate([1.0, 0.0, 0.5]):
-            np.testing.assert_array_equal(out[c, 0], np.full((4, 4), v))
+        cells, pooled = reducer._conv1_pool(np.arange(16.0).reshape(1, 1, 4, 4), p)
+        assert cells.shape == (4, 3, 1, 2, 2) and pooled.shape == (3, 1, 2, 2)
+        for c, (b, v) in enumerate([(1.0, 1.0), (-2.0, 0.0), (0.5, 0.5)]):
+            np.testing.assert_array_equal(cells[:, c], np.full((4, 1, 2, 2), b))
+            np.testing.assert_array_equal(pooled[c, 0], np.full((2, 2), v))
 
     def test_same_padding_preserves_spatial_shape(self):
+        # The window cells are the same-padded conv's cells; the odd
+        # trailing row and column belong to no window.
         p = init_nsdru(4, seed=3)
         x = np.random.default_rng(3).normal(size=(2, 1, 9, 11))
-        assert reducer._conv1_relu(x, p).shape == (4, 2, 9, 11)
+        cells, pooled = reducer._conv1_pool(x, p)
+        assert cells.shape == (4, 4, 2, 4, 5) and pooled.shape == (4, 2, 4, 5)
+        full = conv3x3_loop(x, p.conv1_w, p.conv1_b)
+        assert full.shape == (2, 4, 9, 11)
+        for cell, want in zip(cells, window_cells(full)):
+            np.testing.assert_allclose(cell.swapaxes(0, 1), want, atol=1e-12)
 
     def test_matches_explicit_loop(self):
         rng = np.random.default_rng(17)
@@ -308,11 +385,12 @@ class TestConv3x3:
         p.conv2_w[...] = np.abs(p.conv2_w)
         p.conv2_b[...] = 0.1
         act1 = relu(conv3x3_loop(x, p.conv1_w, p.conv1_b))
-        pooled = reducer._maxpool(act1)
+        pooled = reduce(np.maximum, window_cells(act1))
         act2 = relu(conv3x3_loop(pooled, p.conv2_w, p.conv2_b))
         trace = reducer.nsdru_forward(x, p)
-        np.testing.assert_allclose(reducer._conv1_relu(x, p).transpose(1, 0, 2, 3), act1,
-                                   atol=1e-12)
+        cells, _ = reducer._conv1_pool(x, p)
+        for cell, want in zip(relu(cells), window_cells(act1)):
+            np.testing.assert_allclose(cell.swapaxes(0, 1), want, atol=1e-12)
         np.testing.assert_allclose(pooled_of(x, p), pooled, atol=1e-12)
         np.testing.assert_allclose(trace.act2, act2, atol=1e-12)
 
@@ -366,13 +444,15 @@ class TestConv3x3:
 
 
 class TestMaxPool:
+    # Through an identity conv1, so cells and pool are the input's own.
+
     def test_two_by_two(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        np.testing.assert_array_equal(reducer._maxpool(x), [[[[4.0]]]])
+        np.testing.assert_array_equal(pool(x)[1], [[[[4.0]]]])
 
     def test_odd_dims_floor(self):
         x = np.arange(35.0).reshape(1, 1, 5, 7)
-        out = reducer._maxpool(x)
+        out = pool(x)[1]
         assert out.shape == (1, 1, 2, 3)
         np.testing.assert_array_equal(out[0, 0], [[8.0, 10.0, 12.0], [22.0, 24.0, 26.0]])
 
@@ -381,56 +461,96 @@ class TestMaxPool:
         for _ in range(50):
             h = int(rng.integers(2, 64))
             w = int(rng.integers(2, 64))
-            x = rng.normal(size=(1, 2, h, w))
-            assert reducer._maxpool(x).shape == (1, 2, h // 2, w // 2)
+            x = rng.normal(size=(2, 1, h, w))
+            cells, out = pool(x)
+            assert cells.shape == (4, 2, 1, h // 2, w // 2) and out.shape == (2, 1, h // 2, w // 2)
 
     def test_ties_route_to_first_row_major(self):
         x = np.full((1, 1, 2, 2), 7.0)
-        out = reducer._maxpool(x)
+        cells, out = pool(x)
         np.testing.assert_array_equal(out, [[[[7.0]]]])
-        grad = reducer._maxpool_backward(np.ones((1, 1, 1, 1)), x, out)
+        grad = reducer._maxpool_backward(np.ones((1, 1, 1, 1)), cells, out, x.shape)
         np.testing.assert_array_equal(grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
     def test_backward_scatters_to_max_position(self):
         x = np.array([[[[1.0, 9.0, 0.0, 0.0], [2.0, 3.0, 0.0, 8.0]]]])
-        out = reducer._maxpool(x)
+        cells, out = pool(x)
         np.testing.assert_array_equal(out, [[[[9.0, 8.0]]]])
-        grad = reducer._maxpool_backward(np.array([[[[5.0, -2.0]]]]), x, out)
+        grad = reducer._maxpool_backward(np.array([[[[5.0, -2.0]]]]), cells, out, x.shape)
         np.testing.assert_array_equal(grad, [[[[0.0, 5.0, 0.0, 0.0], [0.0, 0.0, 0.0, -2.0]]]])
 
     def test_cropped_tail_receives_zero_grad(self):
         x = np.arange(15.0).reshape(1, 1, 3, 5)
-        out = reducer._maxpool(x)
-        grad = reducer._maxpool_backward(np.ones_like(out), x, out)
+        cells, out = pool(x)
+        grad = reducer._maxpool_backward(np.ones_like(out), cells, out, x.shape)
         assert grad.shape == x.shape
         np.testing.assert_array_equal(grad[0, 0, 2, :], np.zeros(5))
         np.testing.assert_array_equal(grad[0, 0, :, 4], np.zeros(3))
 
     def test_matches_explicit_loop_on_tie_heavy_relu_output(self):
-        # Several channels, odd H and W, exact-zero ReLU ties and rounded ties.
+        # Twelve maps, odd H and W, exact-zero ReLU ties and rounded ties.
         rng = np.random.default_rng(17)
-        x = relu(np.round(rng.normal(size=(3, 4, 9, 13)), 1))
+        x = relu(np.round(rng.normal(size=(12, 1, 9, 13)), 1))
         x[:, :, ::4, :] = 0.0
-        up = rng.normal(size=(3, 4, 4, 6))
-        ref_out = np.empty((3, 4, 4, 6))
+        up = rng.normal(size=(12, 1, 4, 6))
+        ref_out = np.empty((12, 1, 4, 6))
         ref_grad = np.zeros_like(x)
         for n, c, i, j in np.ndindex(ref_out.shape):
             cells = [(2 * i + di, 2 * j + dj) for di in (0, 1) for dj in (0, 1)]
             best = max(cells, key=lambda cell: x[n, c][cell])  # first of equal maxima
             ref_out[n, c, i, j] = x[n, c][best]
             ref_grad[n, c][best] = up[n, c, i, j]
-        out = reducer._maxpool(x)
+        cells, out = pool(x)
         assert np.sum(x == 0.0) > x.size // 2
         assert out.tobytes() == ref_out.tobytes()
-        assert reducer._maxpool_backward(up, x, out).tobytes() == ref_grad.tobytes()
+        assert reducer._maxpool_backward(up, cells, out, x.shape).tobytes() == ref_grad.tobytes()
+
+
+class TestFullResolution:
+    @pytest.mark.parametrize("n,h,w,c,ties", [
+        pytest.param(16, 8, 256, 8, False, id="train-batch"),
+        pytest.param(5, 128, 256, 8, False, id="several-chunks"),
+        pytest.param(3, 129, 257, 8, False, id="odd-grid-several-chunks"),
+        pytest.param(5, 64, 256, 8, True, id="zero-rows-negative-bias"),
+        pytest.param(3, 7, 13, 1, True, id="one-channel"),
+        pytest.param(16, 8, 256, 5, False, id="five-channels"),
+    ])
+    def test_both_passes_match_conv1_at_full_resolution(self, n, h, w, c, ties):
+        # conv1 only at the pool windows' cells, pooled from its sums, gives
+        # the bytes of conv1 over the whole grid followed by the pool:
+        # rounded q + b never decreases as q grows, nor does ReLU, and each
+        # entry of the windows' GEMM is the full GEMM's. That last holds
+        # because the windows' GEMM is as wide as the full one: at one and
+        # five channels OpenBLAS sums a GEMM per window cell, a quarter as
+        # wide, in another order under the default core or Haswell. Zero
+        # input rows and a negative conv1 bias leave windows of four zero
+        # cells.
+        rng = np.random.default_rng(100 * c + h)
+        x = rng.uniform(size=(n, 1, h, w))
+        p = init_nsdru(c, seed=h)
+        p.conv1_b[...] = -0.05 if ties else rng.normal(scale=0.1, size=c)
+        p.conv2_w[...] = np.abs(p.conv2_w)
+        if ties:
+            x[:, :, 1:4] = 0.0
+            assert np.any(pooled_of(x, p) == 0.0)
+        trace = reducer.nsdru_forward(x, p)
+        up = rng.normal(size=trace.act2.shape)
+        grads, d_x = reducer.nsdru_backward(trace, up, p)
+        act2, want_d_x, want_grads = full_resolution_passes(x, p, up)
+        assert np.any(d_x != 0.0)
+        assert trace.act2.tobytes() == act2.tobytes()
+        assert d_x.tobytes() == want_d_x.tobytes()
+        for f, want in zip(fields(grads), want_grads):
+            assert getattr(grads, f.name).tobytes() == want.tobytes(), f.name
 
 
 class TestMemory:
     def test_forward_peak_stays_small(self):
-        # conv1's output and its pool exist one chunk at a time: on a
-        # 64-sample 128 x 256 batch with 8 channels the peak is the output
-        # (4 MiB) and one chunk's temporaries (about 6 MiB), not the 128 MiB
-        # conv1 output of the whole batch or its 32 MiB pool.
+        # conv1's sums at the pool windows' cells and their pool exist one
+        # chunk at a time: on a 64-sample 128 x 256 batch with 8 channels
+        # the peak, 9.8 MiB, is the output (4 MiB) and one chunk's
+        # temporaries, not the 128 MiB of cells of the whole batch or its
+        # 32 MiB pool.
         x = np.random.default_rng(0).uniform(size=(64, 1, 128, 256))
         p = init_nsdru(8, seed=0)
         peak = traced_peak_mib(lambda: reducer.nsdru_forward(x, p))
@@ -438,9 +558,9 @@ class TestMemory:
 
     def test_backward_peak_stays_small(self):
         # The backward walks the forward's chunks too, so it holds one
-        # chunk's conv1 output, pool and their gradients at a time: on a
+        # chunk's conv1 cells, pool and their gradients at a time: on a
         # 16-sample 128 x 256 batch with 8 channels the peak is about
-        # 14.5 MiB, where rebuilding conv1's map for the whole batch
+        # 15 MiB, where rebuilding conv1's map for the whole batch
         # peaked at 93.3 MiB.
         rng = np.random.default_rng(0)
         x = rng.uniform(size=(16, 1, 128, 256))
