@@ -24,22 +24,6 @@ N_LAYERS = 6
 SKIP_FROM = {4: 2, 5: 1}  # decoder layer -> encoder layer of its width
 
 
-@dataclass(frozen=True)
-class AeDims:
-    """Layer widths: input d, hidden e1 >= e2 >= bottleneck z."""
-
-    d: int
-    e1: int = 128
-    e2: int = 64
-    z: int = 32
-
-    def __post_init__(self):
-        if not (self.d >= 1 and self.e1 >= self.e2 >= self.z >= 1):
-            raise ConfigError(
-                f"widths must satisfy d >= 1 and e1 >= e2 >= z >= 1, got {self}"
-            )
-
-
 @dataclass
 class AeParams:
     """Six dense layers; ae_shapes gives their shapes."""
@@ -58,10 +42,13 @@ class AeParams:
     b6: np.ndarray
 
 
-def ae_shapes(dims: AeDims) -> AeParams:
+def ae_shapes(d: int, e1: int, e2: int, z: int) -> AeParams:
     """Layer N maps width N to width N+1 of d, e1, e2, z, e2, e1, d:
     wN has shape (out_width, in_width), bN (out_width,)."""
-    widths = [dims.d, dims.e1, dims.e2, dims.z, dims.e2, dims.e1, dims.d]
+    if not (d >= 1 and e1 >= e2 >= z >= 1):
+        raise ConfigError(f"widths must satisfy d >= 1 and e1 >= e2 >= z >= 1, "
+                          f"got d={d}, e1={e1}, e2={e2}, z={z}")
+    widths = [d, e1, e2, z, e2, e1, d]
     shapes = {}
     for n, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:]), start=1):
         shapes[f"w{n}"] = (n_out, n_in)

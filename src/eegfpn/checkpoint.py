@@ -17,7 +17,6 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .autoencoder import AeDims
 from .model import ModelParams, map_params, param_segments, param_shapes
 from .signals import atomic_write, bounded_reader
 
@@ -92,7 +91,7 @@ def load_checkpoint(path: str) -> ModelParams:
     (e1, d), (e2, _), (z, _) = found["ae.w1"], found["ae.w2"], found["ae.w3"]
     (h, f), c = found["gru0.w_z"], found["nsdru.conv1_w"][0]
     try:
-        want = param_shapes(AeDims(d=d, e1=e1, e2=e2, z=z), c, f, h, k)
+        want = param_shapes(d, e1, e2, z, c, f, h, k)
     except ConfigError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     for index, (have, expected) in enumerate(zip_longest(got, param_segments(want))):

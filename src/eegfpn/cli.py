@@ -46,6 +46,29 @@ def _load_config(path) -> RunConfig:
     return parse_config(path) if path else RunConfig()
 
 
+# What a loaded model takes from settings: its sizes come from the
+# checkpoint and its grid from the data.
+MODEL_SETTINGS = ("f_low", "f_high", "filter_order", "ae_output_activation")
+
+
+def _model_config(path, ckpt: str) -> RunConfig:
+    """The config.txt that `train` wrote beside `ckpt` if there is one,
+    else `path`'s settings or the defaults; `path` must agree with the
+    run's config.txt on MODEL_SETTINGS."""
+    run_path = os.path.join(os.path.dirname(ckpt), RUN_CONFIG_NAME)
+    if not os.path.exists(run_path):
+        return _load_config(path)
+    trained = parse_config(run_path)
+    if not path:
+        return trained
+    config = parse_config(path)
+    for key in MODEL_SETTINGS:
+        if getattr(config, key) != getattr(trained, key):
+            raise ConfigError(f"{path} sets {key} = {getattr(config, key)}, but {ckpt} "
+                              f"was trained with {getattr(trained, key)} ({run_path})")
+    return config
+
+
 # ---------------------------------------------------------------------------
 # Command handlers
 # ---------------------------------------------------------------------------
@@ -126,7 +149,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    config = _load_config(args.config)
+    config = _model_config(args.config, args.ckpt)
     params = checkpoint.load_checkpoint(args.ckpt)
     epochs = signals.load_dataset(args.data)
     rows = [METRICS_CSV_HEADER]
@@ -166,14 +189,14 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    config = _load_config(args.config)
-    epochs = signals.load_dataset(args.data)
     if args.stage == "latent":
         if not args.ckpt:
             raise ConfigError("--ckpt is required when --stage latent")
+        config = _model_config(args.config, args.ckpt)
         params = checkpoint.load_checkpoint(args.ckpt)
     else:
-        params = None
+        config, params = _load_config(args.config), None
+    epochs = signals.load_dataset(args.data)
     text = train_mod.export_embeddings(params, epochs, args.stage, config)
     _write_text(args.out, text)
     print(args.out)

@@ -6,10 +6,9 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .autoencoder import OUTPUT_ACTIVATIONS, AeDims
+from .autoencoder import OUTPUT_ACTIVATIONS
 from .errors import ConfigError, ParseError
-from .gru import csie_shapes
-from .reducer import nsdru_shapes, pooled_grid
+from .model import config_shapes
 from .signals import FilterSpec, require_regular_file
 
 
@@ -51,15 +50,13 @@ class RunConfig:
     def __post_init__(self):
         if self.ch < 2 or self.t < 4:
             raise ConfigError(f"need ch >= 2 and t >= 4, got ch={self.ch}, t={self.t}")
-        AeDims(self.d, self.e1, self.e2, self.z)  # checks the widths
+        config_shapes(self, self.ch, self.t)  # checks every model size
         if self.ae_output_activation not in OUTPUT_ACTIVATIONS:
             raise ConfigError(
                 f"ae_output_activation must be one of {OUTPUT_ACTIVATIONS}, "
                 f"got {self.ae_output_activation!r}"
             )
         FilterSpec(self.f_low, self.f_high, self.filter_order)  # checks the band
-        nsdru_shapes(self.nsdru_hidden_channels)  # checks the channels
-        csie_shapes(pooled_grid(self.ch, self.t)[0], self.h, self.k)  # checks k and h
         if not 0 <= self.lambda_recon < math.inf:
             raise ConfigError(f"lambda_recon must be finite and >= 0, got {self.lambda_recon}")
         if not 0 < self.learning_rate < math.inf:

@@ -101,7 +101,7 @@ def _check_mse(params, target, forward, output, backward) -> float:
 def check_autoencoder(seed: int, output_activation: str = "relu") -> float:
     """MSE reconstruction loss through encoder, skips and decoder."""
     rng = np.random.default_rng(seed)
-    params = init_params(ae.ae_shapes(ae.AeDims(d=12, e1=8, e2=6, z=3)), seed)
+    params = init_params(ae.ae_shapes(12, 8, 6, 3), seed)
     _jitter(params, rng)
     x = rng.uniform(0.0, 1.0, size=(4, 12))
     target = rng.uniform(0.0, 1.0, size=(4, 12))

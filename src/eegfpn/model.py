@@ -18,7 +18,6 @@ from . import autoencoder as ae
 from . import gru
 from . import head as head_mod
 from . import reducer
-from .config import RunConfig
 from .errors import ShapeError
 from .ops import softmax
 
@@ -40,22 +39,22 @@ class ModelTrace:
     probs: np.ndarray
 
 
-def param_shapes(dims: ae.AeDims, c: int, f: int, h: int, k: int) -> ModelParams:
-    """Every array's shape, for c reducer channels and k GRU branches of
-    f inputs and h hidden units."""
+def param_shapes(d, e1, e2, z, c, f, h, k) -> ModelParams:
+    """Every array's shape, for autoencoder widths d, e1, e2 and z, c
+    reducer channels and k GRU branches of f inputs and h hidden units."""
     return ModelParams(
-        ae=ae.ae_shapes(dims),
+        ae=ae.ae_shapes(d, e1, e2, z),
         nsdru=reducer.nsdru_shapes(c),
         csie=gru.csie_shapes(f, h, k),
         head=head_mod.head_shapes(h),
     )
 
 
-def config_shapes(config: RunConfig, ch: int, t: int) -> ModelParams:
-    """The shapes of `config`'s model on a (ch, t) epoch grid."""
-    dims = ae.AeDims(d=ch * t, e1=config.e1, e2=config.e2, z=config.z)
+def config_shapes(config, ch: int, t: int) -> ModelParams:
+    """The shapes of a RunConfig's model on a (ch, t) epoch grid."""
     features, _ = reducer.pooled_grid(ch, t)
-    return param_shapes(dims, config.nsdru_hidden_channels, features, config.h, config.k)
+    return param_shapes(ch * t, config.e1, config.e2, config.z,
+                        config.nsdru_hidden_channels, features, config.h, config.k)
 
 
 def init_params(shapes, seed: int):
@@ -86,9 +85,9 @@ def init_params(shapes, seed: int):
     return map_params(draw, shapes)
 
 
-def init_model(config: RunConfig, ch: int, t: int, seed=None) -> ModelParams:
-    """All randomness flows from one seed (the config's by default)."""
-    return init_params(config_shapes(config, ch, t), config.seed if seed is None else seed)
+def init_model(config, ch: int, t: int, seed: int) -> ModelParams:
+    """A RunConfig's model on a (ch, t) grid; all randomness flows from `seed`."""
+    return init_params(config_shapes(config, ch, t), seed)
 
 
 def model_forward(

@@ -15,7 +15,7 @@ import pytest
 
 from eegfpn import costing, gradcheck, gru, head, signals
 from eegfpn import train as trainer
-from eegfpn.autoencoder import AeDims, ae_shapes
+from eegfpn.autoencoder import ae_shapes
 from eegfpn.checkpoint import read_segments, save_checkpoint
 from eegfpn.config import RunConfig
 from eegfpn.model import init_model, init_params, model_forward, n_params, pack_params
@@ -202,7 +202,7 @@ def test_criterion_7_cost_accounting(tmp_path):
         if analytic != serialized:
             agree = False
     dense_ok = costing.dense_flops(64, 128) == 16512
-    ae_count = n_params(init_params(ae_shapes(AeDims(d=64)), seed=0))
+    ae_count = n_params(init_params(ae_shapes(64, 128, 64, 32), seed=0))
     ae_ok = ae_count == 37344
     ok = agree and dense_ok and ae_ok
     _report(7, "cost accounting", ok,

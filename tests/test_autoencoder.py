@@ -17,12 +17,13 @@ from traced_memory import traced_peak_mib
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4", "w5", "b5", "w6", "b6")
 
 
-def init_ae(dims: ae.AeDims, seed: int) -> ae.AeParams:
-    return init_params(ae.ae_shapes(dims), seed)
+def init_ae(widths: tuple, seed: int) -> ae.AeParams:
+    """Parameters for ae_shapes(d, e1, e2, z) given as one tuple."""
+    return init_params(ae.ae_shapes(*widths), seed)
 
 
-def zero_params(dims: ae.AeDims) -> ae.AeParams:
-    p = init_ae(dims, seed=0)
+def zero_params(widths: tuple) -> ae.AeParams:
+    p = init_ae(widths, seed=0)
     for name in PARAM_NAMES:
         getattr(p, name)[...] = 0.0
     return p
@@ -83,19 +84,20 @@ def unrolled_backward(a, d_recon, p, output_activation):
 
 class TestAgainstUnrolled:
     @pytest.mark.parametrize("output_activation", ae.OUTPUT_ACTIVATIONS)
-    @pytest.mark.parametrize("dims", [
-        ae.AeDims(d=12, e1=8, e2=6, z=3),
-        ae.AeDims(d=64),
-        ae.AeDims(d=9, e1=5, e2=5, z=5),
+    @pytest.mark.parametrize("widths", [
+        (12, 8, 6, 3),
+        (64, 128, 64, 32),
+        (9, 5, 5, 5),
     ], ids=str)
-    def test_bitwise_equal(self, dims, output_activation):
-        p = init_ae(dims, seed=dims.d)
-        rng = np.random.default_rng(dims.d)
+    def test_bitwise_equal(self, widths, output_activation):
+        d = widths[0]
+        p = init_ae(widths, seed=d)
+        rng = np.random.default_rng(d)
         for name in PARAM_NAMES[1::2]:  # biases that gate some ReLUs shut
             getattr(p, name)[...] = rng.normal(scale=0.5, size=getattr(p, name).shape)
-        p.b6[...] = rng.normal(size=dims.d)  # both signs ahead of the output ReLU
-        x = rng.uniform(size=(7, dims.d))
-        d_recon = rng.normal(size=(7, dims.d))
+        p.b6[...] = rng.normal(size=d)  # both signs ahead of the output ReLU
+        x = rng.uniform(size=(7, d))
+        d_recon = rng.normal(size=(7, d))
 
         trace = ae.ae_forward(x, p, output_activation)
         ref = unrolled_forward(x, p, output_activation)
@@ -122,23 +124,23 @@ class TestAgainstUnrolled:
 
 class TestInit:
     def test_deterministic_per_seed(self):
-        dims = ae.AeDims(d=10, e1=8, e2=6, z=3)
-        a = init_ae(dims, seed=7)
-        b = init_ae(dims, seed=7)
+        widths = (10, 8, 6, 3)
+        a = init_ae(widths, seed=7)
+        b = init_ae(widths, seed=7)
         np.testing.assert_array_equal(a.w1, b.w1)
         np.testing.assert_array_equal(a.w6, b.w6)
-        c = init_ae(dims, seed=8)
+        c = init_ae(widths, seed=8)
         assert not np.array_equal(a.w1, c.w1)
 
     def test_glorot_bound_and_zero_biases(self):
-        dims = ae.AeDims(d=20, e1=12, e2=6, z=3)
-        p = init_ae(dims, seed=1)
+        widths = (20, 12, 6, 3)
+        p = init_ae(widths, seed=1)
         assert np.all(np.abs(p.w1) < np.sqrt(6.0 / (20 + 12)))
         for name in ("b1", "b2", "b3", "b4", "b5", "b6"):
             np.testing.assert_array_equal(getattr(p, name), 0.0)
 
     def test_shapes_mirror(self):
-        p = init_ae(ae.AeDims(d=10, e1=8, e2=6, z=3), seed=0)
+        p = init_ae((10, 8, 6, 3), seed=0)
         assert p.w1.shape == (8, 10)
         assert p.w2.shape == (6, 8)
         assert p.w3.shape == (3, 6)
@@ -148,12 +150,12 @@ class TestInit:
 
     def test_rejects_bad_widths(self):
         with pytest.raises(ConfigError):
-            init_ae(ae.AeDims(d=10, e1=4, e2=6, z=3), seed=0)
+            init_ae((10, 4, 6, 3), seed=0)
 
 
 class TestForward:
     def test_default_width_chain(self):
-        p = init_ae(ae.AeDims(d=64), seed=0)
+        p = init_ae((64, 128, 64, 32), seed=0)
         rng = np.random.default_rng(0)
         x = rng.uniform(size=(5, 64))
         trace = ae.ae_forward(x, p)
@@ -166,25 +168,25 @@ class TestForward:
         assert trace.recon.shape == (5, 64)
 
     def test_zero_params_give_half_reconstruction(self):
-        dims = ae.AeDims(d=6, e1=5, e2=4, z=2)
+        widths = (6, 5, 4, 2)
         trace = ae.ae_forward(np.random.default_rng(1).uniform(size=(3, 6)),
-                              zero_params(dims))
+                              zero_params(widths))
         np.testing.assert_array_equal(trace.inputs[1], 0.0)  # first encoder layer
         np.testing.assert_array_equal(trace.inputs[3], 0.0)  # bottleneck
         assert not np.any(trace.gates[0]) and not np.any(trace.gates[2])
         np.testing.assert_array_equal(trace.recon, 0.5)
 
     def test_bias_passthrough(self):
-        dims = ae.AeDims(d=6, e1=5, e2=4, z=2)
-        p = zero_params(dims)
+        widths = (6, 5, 4, 2)
+        p = zero_params(widths)
         p.b1[...] = 3.25
         trace = ae.ae_forward(np.zeros((2, 6)), p)
         np.testing.assert_array_equal(trace.inputs[1], 3.25)  # layer 1's output
         assert np.all(trace.gates[0])
 
     def test_skip_identity_when_decoder_layer_is_zero(self):
-        dims = ae.AeDims(d=6, e1=5, e2=4, z=2)
-        p = init_ae(dims, seed=3)
+        widths = (6, 5, 4, 2)
+        p = init_ae(widths, seed=3)
         p.w4[...] = 0.0
         p.b4[...] = 0.0
         x = np.random.default_rng(3).uniform(size=(4, 6))
@@ -200,7 +202,7 @@ class TestForward:
         np.testing.assert_array_equal(trace.inputs[5], trace.inputs[1])
 
     def test_relu_mode_confines_reconstruction(self):
-        p = init_ae(ae.AeDims(d=12, e1=8, e2=6, z=3), seed=5)
+        p = init_ae((12, 8, 6, 3), seed=5)
         x = np.random.default_rng(5).uniform(size=(8, 12))
         relu_recon = ae.ae_forward(x, p, "relu").recon
         assert np.all(relu_recon >= 0.5) and np.all(relu_recon < 1.0)
@@ -209,7 +211,7 @@ class TestForward:
         assert linear_recon.min() < 0.5  # linear mode can reach below
 
     def test_nonnegative_relu_activations(self):
-        p = init_ae(ae.AeDims(d=12, e1=8, e2=6, z=3), seed=9)
+        p = init_ae((12, 8, 6, 3), seed=9)
         trace = ae.ae_forward(np.random.default_rng(9).normal(size=(6, 12)), p)
         assert len(trace.gates) == 6
         # Layers 2-6 read ReLU outputs, or their sums with a skip.
@@ -218,12 +220,12 @@ class TestForward:
         assert np.all(trace.recon >= 0.5)  # the sigmoid of a ReLU output
 
     def test_width_mismatch_raises(self):
-        p = init_ae(ae.AeDims(d=10, e1=8, e2=6, z=3), seed=0)
+        p = init_ae((10, 8, 6, 3), seed=0)
         with pytest.raises(ShapeError):
             ae.ae_forward(np.zeros((2, 11)), p)
 
     def test_bad_activation_name(self):
-        p = init_ae(ae.AeDims(d=6, e1=5, e2=4, z=2), seed=0)
+        p = init_ae((6, 5, 4, 2), seed=0)
         with pytest.raises(ConfigError):
             ae.ae_forward(np.zeros((1, 6)), p, "tanh")
 
@@ -231,13 +233,13 @@ class TestForward:
         # Above its inputs, the forward holds layer 6's output and its ReLU
         # mask, and the sigmoid, written over that output, one denominator:
         # about 2.125 reconstructions.
-        p = init_ae(ae.AeDims(d=32768, e1=128, e2=64, z=32), seed=0)
+        p = init_ae((32768, 128, 64, 32), seed=0)
         x = np.random.default_rng(0).uniform(size=(16, 32768))
         peak = traced_peak_mib(lambda: ae.ae_forward(x, p))
         assert peak < 2.5 * x.nbytes / 2**20, f"forward peak {peak:.1f} MiB"
 
     def test_forward_is_deterministic(self):
-        p = init_ae(ae.AeDims(d=12, e1=8, e2=6, z=3), seed=2)
+        p = init_ae((12, 8, 6, 3), seed=2)
         x = np.random.default_rng(2).uniform(size=(3, 12))
         a = ae.ae_forward(x, p)
         b = ae.ae_forward(x, p)
@@ -274,7 +276,7 @@ class TestBackward:
     def test_backward_follows_the_forward_activation(self):
         # A linear output layer keeps no mask, so the backward passes
         # gradient through negative pre-activations, which a relu would mask.
-        p = init_ae(ae.AeDims(d=8, e1=6, e2=4, z=2), seed=3)
+        p = init_ae((8, 6, 4, 2), seed=3)
         p.b6[...] = -5.0
         x = np.random.default_rng(3).uniform(size=(3, 8))
         trace = ae.ae_forward(x, p, "linear")
@@ -284,7 +286,7 @@ class TestBackward:
         np.testing.assert_allclose(g.b6, (trace.recon * (1.0 - trace.recon)).sum(axis=0))
 
     def test_zero_upstream_gives_zero_grads(self):
-        p = init_ae(ae.AeDims(d=8, e1=6, e2=4, z=2), seed=4)
+        p = init_ae((8, 6, 4, 2), seed=4)
         x = np.random.default_rng(4).uniform(size=(3, 8))
         trace = ae.ae_forward(x, p)
         g = ae.ae_backward(trace, np.zeros_like(trace.recon), p)
@@ -295,7 +297,7 @@ class TestBackward:
                              ids=["rank-1", "one-column", "one-row"])
     def test_wrong_upstream_shape_rejected(self, shape):
         # Each of these would broadcast against the (3, 12) reconstruction.
-        p = init_ae(ae.AeDims(d=12, e1=8, e2=6, z=3), seed=5)
+        p = init_ae((12, 8, 6, 3), seed=5)
         trace = ae.ae_forward(np.random.default_rng(5).uniform(size=(3, 12)), p)
         with pytest.raises(ShapeError, match=re.escape(f"{shape}") + ".*" + re.escape("(3, 12)")):
             ae.ae_backward(trace, np.ones(shape), p)
@@ -304,8 +306,8 @@ class TestBackward:
         # With the first decoder layer zeroed its ReLU output is all zero,
         # so the only route from the loss back to the second encoder layer
         # is the additive skip; the encoder weights must still get signal.
-        dims = ae.AeDims(d=8, e1=6, e2=4, z=2)
-        p = init_ae(dims, seed=6)
+        widths = (8, 6, 4, 2)
+        p = init_ae(widths, seed=6)
         p.w4[...] = 0.0
         p.b4[...] = 0.0
         rng = np.random.default_rng(6)
@@ -327,4 +329,4 @@ class TestBackward:
 
     def test_param_count_closed_form(self):
         # 8320+8256+2080+2112+8320+8256 for the paper-default widths at d=64.
-        assert n_params(init_ae(ae.AeDims(d=64), seed=0)) == 37344
+        assert n_params(init_ae((64, 128, 64, 32), seed=0)) == 37344

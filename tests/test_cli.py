@@ -3,6 +3,7 @@ output land exactly as a shell user would see them."""
 
 import os
 import re
+import shutil
 from dataclasses import fields
 
 import numpy as np
@@ -336,6 +337,76 @@ class TestTrainEval:
         code = cli.main(["train", "--data", dataset, "--out",
                          str(tmp_path / "r"), "--config", str(bad)])
         assert code == 2
+
+
+TRAINED_SETTINGS = "ae_output_activation = linear\nf_high = 20\n"
+
+
+def _model_outputs(tmp_path, dataset, ckpt, *flags):
+    """The bytes that `eval` and `export-embeddings --stage latent` write
+    for `ckpt` with `flags`."""
+    out, blobs = tmp_path / "model_output.csv", []
+    for command in (["eval"], ["export-embeddings", "--stage", "latent"]):
+        code = cli.main([*command, "--ckpt", ckpt, "--data", dataset, "--out", str(out), *flags])
+        assert code == 0
+        blobs.append(out.read_bytes())
+    return blobs
+
+
+class TestRunSettings:
+    """A loaded model runs with the settings `train` wrote beside it."""
+
+    @pytest.fixture
+    def run(self, tmp_path, dataset):
+        config = tmp_path / "trained.cfg"
+        config.write_text(TINY_CONFIG + TRAINED_SETTINGS, encoding="utf-8")
+        run = tmp_path / "run"
+        assert cli.main(["train", "--data", dataset, "--out", str(run),
+                         "--config", str(config)]) == 0
+        return str(run / cli.RUN_CHECKPOINT_NAME), str(config)
+
+    def test_without_config_uses_the_trained_settings(self, tmp_path, dataset, run):
+        ckpt, config = run
+        trained = _model_outputs(tmp_path, dataset, ckpt, "--config", config)
+        assert _model_outputs(tmp_path, dataset, ckpt) == trained
+
+    @pytest.mark.parametrize("command", [["eval"], ["export-embeddings", "--stage", "latent"]],
+                             ids=["eval", "latent"])
+    def test_contradicting_config_exits_2(self, tmp_path, dataset, run, command, capsys):
+        ckpt, _ = run
+        other = tmp_path / "other.cfg"
+        other.write_text(TINY_CONFIG + "ae_output_activation = linear\nf_high = 25\n")
+        out = tmp_path / "out.csv"
+        code = cli.main([*command, "--ckpt", ckpt, "--data", dataset,
+                         "--config", str(other), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "f_high" in err and str(other) in err
+        assert os.path.join(os.path.dirname(ckpt), cli.RUN_CONFIG_NAME) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", ["k = 3\n", "max_epochs = 9\n"])
+    def test_config_differing_in_other_keys_still_evaluates(
+        self, tmp_path, dataset, run, setting
+    ):
+        ckpt, config = run
+        other = tmp_path / "other.cfg"
+        other.write_text(TINY_CONFIG + TRAINED_SETTINGS + setting)
+        assert (_model_outputs(tmp_path, dataset, ckpt, "--config", str(other))
+                == _model_outputs(tmp_path, dataset, ckpt, "--config", config))
+
+    def test_checkpoint_without_run_config_behaves_as_before(self, tmp_path, dataset, run):
+        ckpt, config = run
+        copy = tmp_path / "copied" / cli.RUN_CHECKPOINT_NAME
+        copy.parent.mkdir()
+        shutil.copyfile(ckpt, copy)
+        defaults = tmp_path / "defaults.cfg"
+        defaults.write_text("")
+        trained = _model_outputs(tmp_path, dataset, ckpt)
+        assert _model_outputs(tmp_path, dataset, str(copy), "--config", config) == trained
+        untrained = _model_outputs(tmp_path, dataset, str(copy))
+        assert untrained == _model_outputs(tmp_path, dataset, str(copy), "--config", str(defaults))
+        assert untrained[1] != trained[1]
 
 
 class TestGradcheck:

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from eegfpn.autoencoder import AeDims
+from eegfpn.autoencoder import ae_shapes
 from eegfpn.config import RunConfig, format_config, parse_config
 from eegfpn.errors import ConfigError, ParseError
 from eegfpn.signals import FilterSpec
@@ -108,7 +108,7 @@ class TestValidation:
         (lambda: RunConfig(k=0), ConfigError),
         (lambda: dataclasses.replace(RunConfig(), e2=256), ConfigError),
         (lambda: FilterSpec(30.0, 0.5), ConfigError),
-        (lambda: AeDims(d=10, e1=4, e2=6, z=3), ConfigError),
+        (lambda: ae_shapes(10, 4, 6, 3), ConfigError),
         (lambda: setattr(RunConfig(), "k", 0), dataclasses.FrozenInstanceError),
     ], ids=["run-config", "replace", "filter-spec", "ae-dims", "assignment"])
     def test_settings_are_checked_when_built(self, build, error):
