@@ -22,6 +22,10 @@ from .ops import sigmoid
 OUTPUT_ACTIVATIONS = ("relu", "linear")
 N_LAYERS = 6
 SKIP_FROM = {4: 2, 5: 1}  # decoder layer -> encoder layer of its width
+# The reconstruction's sigmoid runs over row blocks of at most this many
+# elements (one row, if a row is wider), so its scratch is one block, not
+# a second (n, d) array.
+SIGMOID_BLOCK = 2**16
 
 
 @dataclass
@@ -101,7 +105,11 @@ def ae_forward(x: np.ndarray, p: AeParams, output_activation: str = "relu") -> A
             if h.shape != skip.shape:
                 raise ShapeError(f"skip add needs {skip.shape}, decoder produced {h.shape}")
             h = h + skip
-    return AeTrace(x=x, inputs=inputs, gates=gates, recon=sigmoid(h, out=h))
+    step = max(1, SIGMOID_BLOCK // h.shape[1])
+    for start in range(0, h.shape[0], step):
+        block = h[start:start + step]
+        sigmoid(block, out=block)
+    return AeTrace(x=x, inputs=inputs, gates=gates, recon=h)
 
 
 def reconstruction_loss(recon: np.ndarray, target: np.ndarray) -> float:

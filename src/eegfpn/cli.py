@@ -150,10 +150,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = _model_config(args.config, args.ckpt)
+    # The epochs are a temporary, freed before the checkpoint is read.
+    data = train_mod.prepare(signals.load_dataset(args.data), config)
     params = checkpoint.load_checkpoint(args.ckpt)
-    epochs = signals.load_dataset(args.data)
     rows = [METRICS_CSV_HEADER]
-    for subject, metrics in train_mod.evaluate_by_subject(params, epochs, config):
+    for subject, metrics in train_mod.evaluate_by_subject(params, data, config):
         rows.append(metrics_csv_row(subject, metrics))
     text = "\n".join(rows) + "\n"
     if args.out:
@@ -193,11 +194,11 @@ def _cmd_export(args) -> int:
         if not args.ckpt:
             raise ConfigError("--ckpt is required when --stage latent")
         config = _model_config(args.config, args.ckpt)
-        params = checkpoint.load_checkpoint(args.ckpt)
     else:
-        config, params = _load_config(args.config), None
-    epochs = signals.load_dataset(args.data)
-    text = train_mod.export_embeddings(params, epochs, args.stage, config)
+        config = _load_config(args.config)
+    data = train_mod.prepare(signals.load_dataset(args.data), config)
+    params = checkpoint.load_checkpoint(args.ckpt) if args.stage == "latent" else None
+    text = train_mod.export_embeddings(params, data, args.stage, config)
     _write_text(args.out, text)
     print(args.out)
     return EXIT_OK

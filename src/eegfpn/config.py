@@ -97,21 +97,27 @@ def _parse_value(key: str, raw: str, lineno: int):
 
 
 def parse_config(path: str) -> RunConfig:
-    """Read `key = value` lines; '#' comments and blank lines ignored."""
+    """Read `key = value` lines; '#' comments and blank lines ignored.
+    Every ParseError and ConfigError, a rejected value included, starts
+    with `path`."""
     require_regular_file(path)
     overrides = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ParseError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
-            key, raw = (part.strip() for part in body.split("=", 1))
-            if key not in _FIELDS:
-                raise ConfigError(f"unknown config key {key!r} (line {lineno})")
-            overrides[key] = _parse_value(key, raw, lineno)
-    return RunConfig(**overrides)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                body = line.split("#", 1)[0].strip()
+                if not body:
+                    continue
+                if "=" not in body:
+                    raise ParseError(
+                        f"line {lineno}: expected 'key = value', got {line.strip()!r}")
+                key, raw = (part.strip() for part in body.split("=", 1))
+                if key not in _FIELDS:
+                    raise ConfigError(f"unknown config key {key!r} (line {lineno})")
+                overrides[key] = _parse_value(key, raw, lineno)
+        return RunConfig(**overrides)
+    except (ParseError, ConfigError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def format_config(config: RunConfig) -> str:

@@ -12,11 +12,12 @@ algebra, per step:
 
 so the new state is a convex combination of the previous state and the
 candidate, with the update gate weighting the candidate. The forward
-copies its input once to a C-contiguous (n, T, f) array and writes every
+copies its input once to a C-contiguous (n, T, f) array, whose step t,
+`seq[:, t]`, is n rows of f at stride T*f, not one block. It writes every
 branch's gates and states into one trace stacked on a leading k axis,
-(k, n, T, h), over time-major storage: each step's (n, f) input and
-(k, n, h) trace slice is then one contiguous block, not a gather across
-rows. The backward reads the trace as it is. Backward,
+(k, n, T, h), over time-major storage: each step's (k, n, h) trace slice
+`[:, :, t]` is then one contiguous block, not a scatter across rows. The
+backward reads the trace as it is. Backward,
 each gate's pre-activation gradient d_a gives w += d_a^T x, u += d_a^T h_in
 and b += sum(d_a), with h_in = h_prev for z and r, r * h_prev for c; one
 reversed loop over time runs all k branches.

@@ -354,10 +354,7 @@ def read_epoch_file(path: str) -> Epoch:
         subject_id = subject.rstrip(b"\x00").decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: subject id at offset 21 is not UTF-8: {exc}") from None
-    # One more copy of the payload, kept on purpose: without it (reading
-    # the samples out of the bytearray) the peak RSS of an `eval` over 64
-    # 128-channel epochs is about 14 MB (7%) higher, through glibc's heap.
-    samples = np.frombuffer(bytes(payload), dtype="<f4").astype(np.float64)
+    samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     try:
         return Epoch(samples.reshape(ch, t), float(fs), int(label), subject_id)
     except (ConfigError, ShapeError) as exc:

@@ -251,35 +251,52 @@ def predict_rows(rows, ch, t, params, config: RunConfig, batch_size=64):
     ))
 
 
-def evaluate_by_subject(params: ModelParams, epochs, config: RunConfig):
-    """Metrics per distinct subject_id, sorted; list of (subject, Metrics)."""
+@dataclass
+class Prepared:
+    """A preprocessed dataset: what evaluation and export read of it. It
+    holds no reference to the epochs, so they can be freed before a model
+    is loaded."""
+    rows: np.ndarray
+    labels: np.ndarray
+    subjects: np.ndarray
+    ch: int
+    t: int
+
+
+def prepare(epochs, config: RunConfig) -> Prepared:
+    """`preprocess` plus each epoch's subject_id. Pass the epochs as a
+    temporary, `prepare(load_dataset(path), config)`, and nothing holds
+    them once this returns."""
     rows, labels, ch, t = preprocess(epochs, config)
-    preds = predict_rows(rows, ch, t, params, config)
-    subjects = np.array([ep.subject_id for ep in epochs])
+    return Prepared(rows, labels, np.array([ep.subject_id for ep in epochs]), ch, t)
+
+
+def evaluate_by_subject(params: ModelParams, data: Prepared, config: RunConfig):
+    """Metrics per distinct subject_id, sorted; list of (subject, Metrics)."""
+    preds = predict_rows(data.rows, data.ch, data.t, params, config)
     out = []
-    for subject in sorted(set(subjects)):
-        mask = subjects == subject
+    for subject in sorted(set(data.subjects)):
+        mask = data.subjects == subject
         out.append(
             (subject,
-             head_mod.compute_metrics(*head_mod.confusion(preds[mask], labels[mask])))
+             head_mod.compute_metrics(*head_mod.confusion(preds[mask], data.labels[mask])))
         )
     return out
 
 
-def export_embeddings(params: ModelParams, epochs, stage: str, config: RunConfig) -> str:
+def export_embeddings(params: ModelParams, data: Prepared, stage: str, config: RunConfig) -> str:
     """CSV, one row per epoch: label first, then the feature vector.
     stage='raw' exports the flattened preprocessed epoch (d columns);
     stage='latent' exports the ensemble aggregate (h columns)."""
     if stage not in ("raw", "latent"):
         raise ConfigError(f"stage must be raw or latent, got {stage!r}")
-    rows, labels, ch, t = preprocess(epochs, config)
     if stage == "raw":
-        features = rows
+        features = data.rows
     else:
         features = np.concatenate(_per_batch(
-            rows, ch, t, params, config, lambda trace, _: trace.csie.aggregate,
+            data.rows, data.ch, data.t, params, config, lambda trace, _: trace.csie.aggregate,
         ), axis=0)
     lines = []
-    for label, vec in zip(labels, features):
+    for label, vec in zip(data.labels, features):
         lines.append(",".join([str(int(label))] + [f"{v:.8g}" for v in vec]))
     return "\n".join(lines) + "\n"

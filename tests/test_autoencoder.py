@@ -231,12 +231,27 @@ class TestForward:
 
     def test_forward_peak_at_a_wide_layer(self):
         # Above its inputs, the forward holds layer 6's output and its ReLU
-        # mask, and the sigmoid, written over that output, one denominator:
-        # about 2.125 reconstructions.
+        # mask, and the sigmoid, written over that output block by block,
+        # one block's denominator: about 1.25 reconstructions (5.06 MiB of
+        # a 4 MiB reconstruction; 8.56 MiB when the sigmoid's denominator
+        # was a whole second reconstruction).
         p = init_ae((32768, 128, 64, 32), seed=0)
         x = np.random.default_rng(0).uniform(size=(16, 32768))
         peak = traced_peak_mib(lambda: ae.ae_forward(x, p))
-        assert peak < 2.5 * x.nbytes / 2**20, f"forward peak {peak:.1f} MiB"
+        assert peak < 1.5 * x.nbytes / 2**20, f"forward peak {peak:.1f} MiB"
+
+    @pytest.mark.parametrize("activation", ae.OUTPUT_ACTIVATIONS)
+    def test_sigmoid_blocks_do_not_change_the_reconstruction(self, monkeypatch, activation):
+        # Blocks of 3 elements on rows of 7 run one row per call; the
+        # sigmoid is element-wise, so every block size gives the same bytes.
+        p = init_ae((7, 5, 4, 2), seed=3)
+        x = np.random.default_rng(3).normal(size=(9, 7))
+        whole = ae.ae_forward(x, p, activation).recon
+        monkeypatch.setattr(ae, "SIGMOID_BLOCK", 3)
+        blocked = ae.ae_forward(x, p, activation).recon
+        assert blocked.tobytes() == whole.tobytes()
+        monkeypatch.setattr(ae, "SIGMOID_BLOCK", 15)  # two rows per call, one left over
+        assert ae.ae_forward(x, p, activation).recon.tobytes() == whole.tobytes()
 
     def test_forward_is_deterministic(self):
         p = init_ae((12, 8, 6, 3), seed=2)

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from eegfpn import checkpoint, cli, gradcheck, model, signals
-from eegfpn.config import parse_config
+from eegfpn.config import RunConfig, parse_config
 from eegfpn.errors import ConfigError, FormatError, NumericError, ParseError, ShapeError
+from traced_memory import traced_peak_mib
 
 TINY_CONFIG = """
 ch = 4
@@ -337,6 +338,34 @@ class TestTrainEval:
         code = cli.main(["train", "--data", dataset, "--out",
                          str(tmp_path / "r"), "--config", str(bad)])
         assert code == 2
+
+
+class TestEvalMemory:
+    def test_peak_is_parameters_rows_and_one_batch(self, tmp_path, capsys):
+        # 128 epochs of 64 x 256 at batch 64: the rows are 16 MiB, one
+        # batch's reconstruction 8 MiB and the parameters (e1 = 128) 32.1
+        # MiB. The checkpoint loads after the epochs are freed, so the
+        # peak, in the reducer, is those three plus 7.3 MiB of the reducer's
+        # chunk temporaries and the autoencoder's ReLU masks: 63.5 MiB
+        # traced. Loading first, and holding the epochs and a batch-wide
+        # sigmoid scratch through the forward, gave 81.9 MiB. Preprocessing
+        # holds three copies of the data (the epochs, their stack and the
+        # filtered stack: 48.8 MiB) before the load, under the same bound.
+        data = tmp_path / "data"
+        assert cli.main(["synth", "--out", str(data), "--n", "64", "--ch", "64",
+                         "--t", "256", "--fs", "128"]) == 0
+        config = RunConfig(ch=64, t=256, e1=128, e2=8, z=4, h=4, k=2,
+                           nsdru_hidden_channels=1)
+        params = model.init_model(config, 64, 256, seed=0)
+        ckpt = str(tmp_path / "model.cfpn")
+        checkpoint.save_checkpoint(params, ckpt)
+        capsys.readouterr()
+        argv = ["eval", "--ckpt", ckpt, "--data", str(data / "manifest.txt")]
+        peak = traced_peak_mib(lambda: cli.main(argv))
+        assert capsys.readouterr().out.startswith("subject_id,")
+        rows, batch = 128 * config.d * 8 / 2**20, 64 * config.d * 8 / 2**20
+        bound = model.n_params(params) * 8 / 2**20 + rows + batch + 10.0
+        assert peak < bound, f"eval peak {peak:.1f} MiB, bound {bound:.1f} MiB"
 
 
 TRAINED_SETTINGS = "ae_output_activation = linear\nf_high = 20\n"

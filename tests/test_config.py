@@ -53,6 +53,21 @@ class TestParsing:
     def test_last_assignment_wins(self, tmp_path):
         assert parse_config(write(tmp_path, "k = 2\nk = 5\n")).k == 5
 
+    # `eval` reads two config files, so each error names the one at fault.
+    @pytest.mark.parametrize("text, error, detail", [
+        ("k = 3\nnot a pair\n", ParseError, "line 2"),
+        ("k = banana\n", ParseError, "line 1"),
+        ("momentum = 0.9\n", ConfigError, "momentum"),
+        ("k = 0\n", ConfigError, "k"),
+    ], ids=["no-equals", "bad-int", "unknown-key", "rejected-value"])
+    def test_error_starts_with_the_path(self, tmp_path, text, error, detail):
+        path = write(tmp_path, text)
+        with pytest.raises(error) as caught:
+            parse_config(path)
+        message = str(caught.value)
+        assert message.startswith(f"{path}: ") and detail in message
+        assert message.count(path) == 1
+
 
 class TestRoundTrip:
     def test_format_then_parse_identity(self, tmp_path):

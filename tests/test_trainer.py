@@ -1,6 +1,8 @@
 """Training harness: split, optimizer, loop determinism, evaluation,
 embedding export. Full runs here use tiny grids so the suite stays fast."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,21 @@ class TestPreprocess:
         with pytest.raises(ConfigError):
             trainer.preprocess([], tiny_config())
 
+    def test_prepared_keeps_no_epoch_alive(self):
+        config = tiny_config()
+        data = tiny_dataset(n_per_class=2)
+        for i, ep in enumerate(data):
+            ep.subject_id = f"s{i % 2}"
+        rows, labels, ch, t = trainer.preprocess(data, config)
+        alive = [weakref.ref(ep) for ep in data] + [weakref.ref(ep.samples) for ep in data]
+        prepared = trainer.prepare(data, config)
+        del data, ep
+        assert all(ref() is None for ref in alive)
+        assert prepared.rows.tobytes() == rows.tobytes()
+        assert prepared.labels.tolist() == labels.tolist()
+        assert prepared.subjects.tolist() == ["s0", "s1", "s0", "s1"]
+        assert (prepared.ch, prepared.t) == (ch, t)
+
 
 class TestTrainLoop:
     def test_single_class_rejected(self):
@@ -240,7 +257,8 @@ class TestLearningBehavior:
                                   sampling_rate=128.0, snr_db=20.0, seed=1)
         result = trainer.train(config, data)
         assert result.best_val_accuracy == 1.0
-        [(_, metrics)] = trainer.evaluate_by_subject(result.params, data, config)
+        [(_, metrics)] = trainer.evaluate_by_subject(
+            result.params, trainer.prepare(data, config), config)
         assert metrics.accuracy >= 0.98
         # Overfitting smoke bound: train and validation loss stay close.
         gap = abs(result.history.train_loss[-1] - result.history.val_loss[-1])
@@ -269,14 +287,16 @@ class TestEvaluation:
         params = init_model(config, config.ch, config.t, seed=0)
         params.head.w[...] = 0.0
         params.head.b[...] = 0.0
-        [(_, metrics)] = trainer.evaluate_by_subject(params, data, config)
+        [(_, metrics)] = trainer.evaluate_by_subject(
+            params, trainer.prepare(data, config), config)
         assert metrics.accuracy == pytest.approx(0.5)
 
     def test_checkpoint_width_mismatch_named(self):
         config = tiny_config()
         params = init_model(config, config.ch, 2 * config.t, seed=0)
+        data = trainer.prepare(tiny_dataset(), config)
         with pytest.raises(ShapeError, match="width"):
-            trainer.evaluate_by_subject(params, tiny_dataset(), config)
+            trainer.evaluate_by_subject(params, data, config)
 
     def test_by_subject_sorted_and_complete(self):
         config = tiny_config()
@@ -284,7 +304,7 @@ class TestEvaluation:
         for i, ep in enumerate(data):
             ep.subject_id = f"s{i % 2}"
         params = init_model(config, config.ch, config.t, seed=0)
-        rows = trainer.evaluate_by_subject(params, data, config)
+        rows = trainer.evaluate_by_subject(params, trainer.prepare(data, config), config)
         assert [subject for subject, _ in rows] == ["s0", "s1"]
 
 
@@ -293,7 +313,7 @@ class TestExport:
         config = tiny_config()
         data = tiny_dataset(n_per_class=3)
         params = init_model(config, config.ch, config.t, seed=0)
-        text = trainer.export_embeddings(params, data, "raw", config)
+        text = trainer.export_embeddings(params, trainer.prepare(data, config), "raw", config)
         lines = text.strip().splitlines()
         assert len(lines) == 6
         assert all(len(line.split(",")) == config.d + 1 for line in lines)
@@ -302,7 +322,8 @@ class TestExport:
         config = tiny_config()
         data = tiny_dataset(n_per_class=3)
         params = init_model(config, config.ch, config.t, seed=0)
-        text = trainer.export_embeddings(params, data, "latent", config)
+        text = trainer.export_embeddings(
+            params, trainer.prepare(data, config), "latent", config)
         lines = text.strip().splitlines()
         assert all(len(line.split(",")) == config.h + 1 for line in lines)
         labels = [line.split(",")[0] for line in lines]
@@ -311,8 +332,9 @@ class TestExport:
     def test_unknown_stage_rejected(self):
         config = tiny_config()
         params = init_model(config, config.ch, config.t, seed=0)
+        data = trainer.prepare(tiny_dataset(), config)
         with pytest.raises(ConfigError):
-            trainer.export_embeddings(params, tiny_dataset(), "logits", config)
+            trainer.export_embeddings(params, data, "logits", config)
 
 
 class TestBatchMemory:
@@ -335,7 +357,7 @@ class TestBatchMemory:
                 "dataset_loss": lambda: trainer._dataset_loss_and_accuracy(
                     rows, labels, ch, t, params, config),
                 "export_latent": lambda: trainer.export_embeddings(
-                    params, data, "latent", config),
+                    params, trainer.prepare(data, config), "latent", config),
             }[entry])
 
         one, two = peak(32), peak(64)
